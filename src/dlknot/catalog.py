@@ -19,6 +19,7 @@ from .diagram import (
     Passage,
     degree,
     parity_profile,
+    parity_record,
 )
 from .projection import essential_count
 
@@ -127,9 +128,7 @@ def family_rows(k: int) -> list[dict]:
                 "n": c.n,
                 "eps": c.eps,
                 "degree": degree(d),
-                "parities": [
-                    {"value": p.value, "modulus": p.modulus} for p in parity_profile(d)
-                ],
+                "parities": parity_record(d),
                 "essential_count": essential_count(d),
             }
         )

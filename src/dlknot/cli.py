@@ -13,7 +13,7 @@ import sys
 
 from . import catalog, links, projection, search
 from .diagram import DiagramError, invariant_record, parse, serialize
-from .moves import ALL_KINDS, MoveError, MoveInstance, MoveTrace, ReplayError, apply as apply_move, replay
+from .moves import ALL_KINDS, MoveInstance, MoveTrace, apply as apply_move, replay
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -320,10 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DiagramError, MoveError, ReplayError, projection.ProjectionError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

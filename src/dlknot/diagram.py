@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 OVER = "O"
 UNDER = "U"
 
 _PASSAGE_RE = re.compile(r"([OU])([0-9]+)([+-])")
-_DOUBLE_RE = re.compile(r"D([+-])")
+_SIGNS = {"+": 1, "-": -1}
 
 
 class DiagramError(ValueError):
@@ -40,6 +40,7 @@ class DoubleLine:
     """A signed double-line decoration on the strand."""
 
     sign: int  # +1 or -1
+    letter: ClassVar[str] = "D"
 
 
 Token = Passage | DoubleLine
@@ -49,10 +50,29 @@ def _sign_char(s: int) -> str:
     return "+" if s > 0 else "-"
 
 
-def token_to_text(t: Token) -> str:
-    if isinstance(t, DoubleLine):
-        return "D" + _sign_char(t.sign)
-    return t.role + str(t.crossing_id) + _sign_char(t.sign)
+def token_to_text(t) -> str:
+    """Text of a passage, or of a signed marker (a double line or a clasp)."""
+    if isinstance(t, Passage):
+        return t.role + str(t.crossing_id) + _sign_char(t.sign)
+    return t.letter + _sign_char(t.sign)
+
+
+def read_tokens(text: str, marker: type = DoubleLine) -> list:
+    """Read whitespace-separated tokens, keeping crossing ids as written.
+
+    Grammar: Passage = ("O"|"U") id ("+"|"-"); a signed marker is
+    ``marker.letter`` followed by "+" or "-" (``D`` for double lines).
+    """
+    tokens = []
+    for word in text.split():
+        m = _PASSAGE_RE.fullmatch(word)
+        if m:
+            tokens.append(Passage(int(m.group(2)), m.group(1), _SIGNS[m.group(3)]))
+        elif len(word) == 2 and word[0] == marker.letter and word[1] in _SIGNS:
+            tokens.append(marker(_SIGNS[word[1]]))
+        else:
+            raise DiagramError(f"malformed token {word!r}")
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -118,25 +138,12 @@ def _validate(tokens: tuple[Token, ...]) -> None:
 
 
 def parse(text: str) -> DlDiagram:
-    """Parse whitespace-separated diagram text into a diagram.
+    """Parse whitespace-separated diagram text (see :func:`read_tokens`).
 
-    Grammar: Passage = ("O"|"U") id ("+"|"-"), DoubleLine = "D" ("+"|"-").
     Crossing ids are relabeled to order of first occurrence, so parsing
     round-trips with :func:`serialize` up to rotation and relabeling.
     """
-    tokens: list[Token] = []
-    for word in text.split():
-        m = _PASSAGE_RE.fullmatch(word)
-        if m:
-            role, cid, sc = m.group(1), int(m.group(2)), m.group(3)
-            tokens.append(Passage(cid, role, 1 if sc == "+" else -1))
-            continue
-        m = _DOUBLE_RE.fullmatch(word)
-        if m:
-            tokens.append(DoubleLine(1 if m.group(1) == "+" else -1))
-            continue
-        raise DiagramError(f"malformed token {word!r}")
-    return DlDiagram(tuple(_relabel_first_occurrence(tokens)))
+    return DlDiagram(tuple(_relabel_first_occurrence(read_tokens(text))))
 
 
 def _relabel_first_occurrence(tokens: Iterable[Token]) -> Iterator[Token]:
@@ -206,21 +213,23 @@ class WindingParity:
             raise DiagramError("value out of range for modulus")
 
 
-def raw_winding_sum(d: DlDiagram, crossing_id: int) -> int:
-    """Integer sum of double-line signs strictly between the Under and Over
-    passage of ``crossing_id``, following the traversal from the Under side."""
-    start = d.passage_index(crossing_id, UNDER)
+def winding_interval(d: DlDiagram, crossing_id: int) -> list[int]:
+    """Positions strictly between the Under and the Over passage of
+    ``crossing_id``, following the traversal from the Under side."""
     n = len(d.tokens)
-    total = 0
-    i = (start + 1) % n
-    while True:
-        t = d.tokens[i]
-        if isinstance(t, Passage) and t.crossing_id == crossing_id:
-            break
-        if isinstance(t, DoubleLine):
-            total += t.sign
-        i = (i + 1) % n
-    return total
+    u = d.passage_index(crossing_id, UNDER)
+    o = d.passage_index(crossing_id, OVER)
+    return [i % n for i in range(u + 1, o if o > u else o + n)]
+
+
+def raw_winding_sum(d: DlDiagram, crossing_id: int) -> int:
+    """Integer sum of the double-line signs in the winding interval."""
+    tokens = d.tokens
+    return sum(
+        tokens[i].sign
+        for i in winding_interval(d, crossing_id)
+        if isinstance(tokens[i], DoubleLine)
+    )
 
 
 def winding_parity(d: DlDiagram, crossing_id: int) -> WindingParity:
@@ -238,13 +247,16 @@ def parity_profile(d: DlDiagram) -> tuple[WindingParity, ...]:
     return tuple(sorted(winding_parity(d, cid) for cid in d.crossing_ids))
 
 
+def parity_record(d: DlDiagram) -> list[dict]:
+    """JSON-ready parity profile: one ``{"value", "modulus"}`` per crossing."""
+    return [{"value": p.value, "modulus": p.modulus} for p in parity_profile(d)]
+
+
 def invariant_record(d: DlDiagram) -> dict:
     """JSON-ready record of the cheap invariants of a diagram."""
     return {
         "degree": degree(d),
-        "parities": [
-            {"value": p.value, "modulus": p.modulus} for p in parity_profile(d)
-        ],
+        "parities": parity_record(d),
         "crossings": d.crossing_count,
         "double_lines": d.double_line_count,
     }

@@ -10,19 +10,20 @@ for K and T to be separable.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .diagram import (
     OVER,
     UNDER,
-    DiagramError,
     DlDiagram,
     DoubleLine,
     Passage,
     degree,
-    parity_profile,
+    parity_record,
     raw_winding_sum,
+    read_tokens,
+    token_to_text,
 )
 from .projection import (
     EliminationCertificate,
@@ -30,15 +31,12 @@ from .projection import (
     essential_count,
 )
 
-_CLASP_RE = re.compile(r"C([+-])")
-_PASSAGE_RE = re.compile(r"([OU])([0-9]+)([+-])")
-
-
 @dataclass(frozen=True)
 class Clasp:
     """An adjacent pair of K-T crossings contributing its sign to lk(K, T)."""
 
     sign: int
+    letter: ClassVar[str] = "C"
 
 
 @dataclass(frozen=True)
@@ -53,30 +51,13 @@ class SewedLink:
 
 
 def parse_sewed(text: str) -> SewedLink:
-    """Parse sewed-link text: passage tokens as for diagrams plus C+/C-."""
-    tokens: list[Passage | Clasp] = []
-    for word in text.split():
-        m = _PASSAGE_RE.fullmatch(word)
-        if m:
-            role, cid, sc = m.group(1), int(m.group(2)), m.group(3)
-            tokens.append(Passage(cid, role, 1 if sc == "+" else -1))
-            continue
-        m = _CLASP_RE.fullmatch(word)
-        if m:
-            tokens.append(Clasp(1 if m.group(1) == "+" else -1))
-            continue
-        raise DiagramError(f"malformed token {word!r}")
-    return SewedLink(tuple(tokens))
+    """Parse sewed-link text: passage tokens as for diagrams plus C+/C-.
+    Crossing ids are kept as written."""
+    return SewedLink(tuple(read_tokens(text, Clasp)))
 
 
 def serialize_sewed(l: SewedLink) -> str:
-    parts = []
-    for t in l.tokens:
-        if isinstance(t, Clasp):
-            parts.append("C" + ("+" if t.sign > 0 else "-"))
-        else:
-            parts.append(t.role + str(t.crossing_id) + ("+" if t.sign > 0 else "-"))
-    return " ".join(parts)
+    return " ".join(token_to_text(t) for t in l.tokens)
 
 
 def to_dl_diagram(l: SewedLink) -> DlDiagram:
@@ -159,9 +140,7 @@ def link_family_rows(m_max: int) -> list[dict]:
             {
                 "m": m,
                 "degree": degree(d),
-                "parities": [
-                    {"value": p.value, "modulus": p.modulus} for p in parity_profile(d)
-                ],
+                "parities": parity_record(d),
                 "essential_count": essential_count(d),
             }
         )

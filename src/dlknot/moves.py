@@ -24,7 +24,7 @@ from .diagram import (
     DoubleLine,
     Passage,
     Token,
-    parse,
+    read_tokens,
     serialize,
 )
 
@@ -93,7 +93,7 @@ class MoveInstance:
         return mk(words[0], **dict(params))
 
 
-def mk(kind: str, **params: int | str) -> MoveInstance:
+def mk(kind: str, /, **params: int | str) -> MoveInstance:
     return MoveInstance(kind, tuple(sorted(params.items())))
 
 
@@ -112,31 +112,11 @@ def _delete_cyclic(tokens: tuple[Token, ...], positions: list[int]) -> tuple[Tok
     return tuple(t for i, t in enumerate(tokens) if i not in drop)
 
 
-def _passage_positions(tokens: tuple[Token, ...], cid: int) -> tuple[int, int]:
-    """(under_pos, over_pos) of crossing ``cid``."""
-    u = o = -1
-    for i, t in enumerate(tokens):
-        if isinstance(t, Passage) and t.crossing_id == cid:
-            if t.role == UNDER:
-                u = i
-            else:
-                o = i
-    if u < 0 or o < 0:
-        raise MoveError(f"unknown crossing id {cid}")
-    return u, o
-
-
 def _check_pos(m: MoveInstance, key: str, n: int, allow_end: bool = False) -> int:
     pos = m[key]
-    if not isinstance(pos, int):
-        raise MoveError(f"{key} must be an integer")
     hi = n if allow_end else n - 1
-    if n == 0:
-        if pos != 0:
-            raise MoveError(f"{key}={pos} out of range for empty diagram")
-        return 0
-    if not 0 <= pos <= max(hi, 0):
-        raise MoveError(f"{key}={pos} out of range")
+    if not (isinstance(pos, int) and 0 <= pos <= hi):
+        raise MoveError(f"{key}={pos!r} out of range for {n} tokens")
     return pos
 
 
@@ -242,18 +222,16 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
         return DlDiagram(_delete_cyclic(tokens, [pos, pos + 1]))
 
     if m.kind == CROSSING_CHANGE:
-        cid = m["crossing_id"]
         chirality = m["chirality"] if _has(m, "chirality") else 1
         if chirality not in (1, -1):
             raise MoveError("bad CrossingChange chirality")
-        return DlDiagram(_crossing_change(tokens, cid, chirality))
+        return _map_crossing(d, m["crossing_id"], lambda t: flip_passage(t, 1, chirality))
 
     if m.kind == CROSSING_SLIDING:
-        cid = m["crossing_id"]
         s = m["direction"]
         if s not in (1, -1):
             raise MoveError("bad CrossingSliding direction")
-        return DlDiagram(_crossing_sliding(tokens, cid, s))
+        return _map_crossing(d, m["crossing_id"], lambda t: hug(t, 1, s))
 
     raise MoveError(f"unknown move kind {m.kind!r}")
 
@@ -262,33 +240,34 @@ def _has(m: MoveInstance, key: str) -> bool:
     return any(k == key for k, _ in m.params)
 
 
-def _crossing_change(tokens: tuple[Token, ...], cid: int, chirality: int) -> tuple[Token, ...]:
-    u, o = _passage_positions(tokens, cid)
-    out: list[Token] = []
-    # Roles swap and the crossing sign flips; one inserted +/- pair hugs the
-    # new Under (chirality +1) or the new Over (chirality -1).
-    for i, t in enumerate(tokens):
-        if isinstance(t, Passage) and t.crossing_id == cid:
-            flipped = Passage(cid, UNDER if t.role == OVER else OVER, -t.sign)
-            if chirality == 1 and flipped.role == UNDER:
-                out.extend([DoubleLine(1), flipped, DoubleLine(-1)])
-            elif chirality == -1 and flipped.role == OVER:
-                out.extend([DoubleLine(-1), flipped, DoubleLine(1)])
-            else:
-                out.append(flipped)
-        else:
-            out.append(t)
-    return tuple(out)
+def hug(t: Token, pairs: int, s: int = 1) -> list[Token]:
+    """``t`` between ``pairs`` double lines of sign ``s`` and ``pairs`` of sign ``-s``."""
+    return [DoubleLine(s)] * pairs + [t] + [DoubleLine(-s)] * pairs
 
 
-def _crossing_sliding(tokens: tuple[Token, ...], cid: int, s: int) -> tuple[Token, ...]:
+def flip_passage(t: Passage, pairs: int, chirality: int = 1) -> list[Token]:
+    """A passage after a crossing change: the role swaps and the crossing
+    sign flips; ``pairs`` +/- pairs hug the new Under (chirality +1) or,
+    with the signs reversed, the new Over (chirality -1)."""
+    flipped = Passage(t.crossing_id, UNDER if t.role == OVER else OVER, -t.sign)
+    if flipped.role == (UNDER if chirality == 1 else OVER):
+        return hug(flipped, pairs, chirality)
+    return [flipped]
+
+
+def _map_crossing(d: DlDiagram, cid: int, f) -> DlDiagram:
+    """Replace each passage of crossing ``cid`` by the tokens ``f`` gives for it."""
     out: list[Token] = []
-    for t in tokens:
+    for t in d.tokens:
         if isinstance(t, Passage) and t.crossing_id == cid:
-            out.extend([DoubleLine(s), t, DoubleLine(-s)])
+            out.extend(f(t))
         else:
             out.append(t)
-    return tuple(out)
+    # Both crossing moves insert double lines: an unchanged length means
+    # that no passage matched.
+    if len(out) == len(d.tokens):
+        raise MoveError(f"unknown crossing id {cid!r}")
+    return DlDiagram(tuple(out))
 
 
 def _validate_r3(tokens: tuple[Token, ...], sites: list[int]) -> None:
@@ -407,13 +386,6 @@ def _matches(d: DlDiagram, m: MoveInstance) -> bool:
         return False
 
 
-def _find_passage(tokens: tuple[Token, ...], cid: int, role: str) -> int:
-    for i, t in enumerate(tokens):
-        if isinstance(t, Passage) and t.crossing_id == cid and t.role == role:
-            return i
-    raise MoveError(f"no passage {role}{cid}")
-
-
 def invert(m: MoveInstance, context: DlDiagram) -> list[MoveInstance]:
     """A move sequence undoing ``m``: applying it to ``apply(context, m)``
     restores ``context`` (up to canonical equality for the composite kinds)."""
@@ -511,11 +483,11 @@ def _hug_cancels(
     """
     steps = []
     cur = d
-    idx = _find_passage(cur.tokens, cid, role)
+    idx = cur.passage_index(cid, role)
     c1 = _cancel_pair_at(cur, (idx - 2) % len(cur.tokens))
     steps.append(c1)
     cur = apply(cur, c1)
-    idx = _find_passage(cur.tokens, cid, role)
+    idx = cur.passage_index(cid, role)
     c2 = _cancel_pair_at(cur, (idx + 1) % len(cur.tokens))
     steps.append(c2)
     cur = apply(cur, c2)
@@ -545,9 +517,8 @@ class MoveTrace:
         lines = text.splitlines()
         if not lines:
             raise MoveError("empty trace file")
-        start = parse(lines[0])
         steps = tuple(MoveInstance.from_line(ln) for ln in lines[1:] if ln.strip())
-        return cls(start, steps)
+        return cls(_read_start(lines[0]), steps)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -561,9 +532,30 @@ class MoveTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "MoveTrace":
-        data = json.loads(text)
-        steps = tuple(mk(s["kind"], **s["params"]) for s in data["steps"])
-        return cls(parse(data["start"]), steps)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise MoveError("trace JSON is nested too deeply") from None
+        steps = data.get("steps") if isinstance(data, dict) else None
+        if not isinstance(steps, list) or not all(
+            isinstance(s, dict)
+            and isinstance(s.get("kind"), str)
+            and isinstance(s.get("params"), dict)
+            for s in steps
+        ):
+            raise MoveError('trace JSON needs "start" and a "steps" list of {"kind", "params"}')
+        return cls(
+            _read_start(data.get("start")),
+            tuple(mk(s["kind"], **s["params"]) for s in steps),
+        )
+
+
+def _read_start(text: object) -> DlDiagram:
+    """A trace's start diagram, with its crossing ids as written: the steps
+    name crossings by those ids."""
+    if not isinstance(text, str):
+        raise MoveError(f"trace start must be diagram text, got {text!r}")
+    return DlDiagram(tuple(read_tokens(text)))
 
 
 def replay(trace: MoveTrace) -> DlDiagram:

@@ -24,11 +24,11 @@ Three layers on top of the move engine:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import moves
 from .diagram import (
-    OVER,
     UNDER,
     DlDiagram,
     DoubleLine,
@@ -36,6 +36,7 @@ from .diagram import (
     Token,
     degree,
     raw_winding_sum,
+    winding_interval,
 )
 from .moves import (
     CROSSING_CHANGE,
@@ -55,6 +56,19 @@ def _raw_parities(d: DlDiagram) -> dict[int, int]:
     return {cid: raw_winding_sum(d, cid) for cid in d.crossing_ids}
 
 
+def _line_crossings(d: DlDiagram) -> dict[int, list[int]]:
+    """Each double line's position, mapped to the crossings (in id order)
+    whose winding interval holds it."""
+    holds: dict[int, list[int]] = {
+        i: [] for i, t in enumerate(d.tokens) if isinstance(t, DoubleLine)
+    }
+    for cid in d.crossing_ids:
+        for i in winding_interval(d, cid):
+            if i in holds:
+                holds[i].append(cid)
+    return holds
+
+
 def parity_projection(d: DlDiagram) -> DlDiagram:
     """Normalize all winding parities of a degree-0 diagram to 0.
 
@@ -72,22 +86,13 @@ def parity_projection(d: DlDiagram) -> DlDiagram:
             out.append(t)
             continue
         p = parities[t.crossing_id]
-        if p >= 0:
-            if t.role == UNDER and p > 0:
-                out.extend([DoubleLine(1)] * p)
-                out.append(t)
-                out.extend([DoubleLine(-1)] * p)
-            else:
-                out.append(t)
+        if p < 0:
+            # The crossing-change pair plus -p-1 compensating pairs.
+            out.extend(moves.flip_passage(t, -p))
+        elif t.role == UNDER:
+            out.extend(moves.hug(t, p))
         else:
-            flipped = Passage(t.crossing_id, UNDER if t.role != UNDER else OVER, -t.sign)
-            pad = (-p - 1) + 1  # crossing-change pair plus -p-1 compensating pairs
-            if flipped.role == UNDER:
-                out.extend([DoubleLine(1)] * pad)
-                out.append(flipped)
-                out.extend([DoubleLine(-1)] * pad)
-            else:
-                out.append(flipped)
+            out.append(t)
     return DlDiagram(tuple(out))
 
 
@@ -243,19 +248,9 @@ def _delete_positions(d: DlDiagram, subset: tuple[int, ...]) -> DlDiagram:
     return DlDiagram(tuple(t for i, t in enumerate(d.tokens) if i not in drop))
 
 
-def _residual_parities_if_important(d: DlDiagram, subset: tuple[int, ...]) -> tuple[int, ...] | None:
-    residual = _delete_positions(d, subset)
-    if degree(residual) != 0:
-        return None
-    vals = tuple(sorted(raw_winding_sum(residual, cid) for cid in residual.crossing_ids))
-    if any(v not in (0, -1) for v in vals):
-        return None
-    return vals
-
-
 def _subsets_of_size(d: DlDiagram, k: int):
-    """Candidate subsets of k double-line positions whose sign sum can match
-    the degree, in lexicographic order of the merged position tuple."""
+    """Subsets of k double-line positions whose sign sum is the degree, in
+    lexicographic order of the merged position tuple."""
     deg = degree(d)
     plus = [i for i in _double_positions(d) if d.tokens[i].sign > 0]
     minus = [i for i in _double_positions(d) if d.tokens[i].sign < 0]
@@ -273,22 +268,38 @@ def _subsets_of_size(d: DlDiagram, k: int):
     yield from merged
 
 
+def _important_of_size(d: DlDiagram, k: int, raw: dict[int, int], holds: dict[int, list[int]]):
+    """The important subsets of k double lines, in lexicographic order, each
+    with the residual winding sum of every crossing.
+
+    Removing lines moves no passage, so a crossing's residual sum is its raw
+    sum less the signs of the removed lines in its interval; the subsets
+    already remove exactly the degree.
+    """
+    tokens = d.tokens
+    for subset in _subsets_of_size(d, k):
+        residual = dict(raw)
+        for i in subset:
+            for cid in holds[i]:
+                residual[cid] -= tokens[i].sign
+        if all(v in (0, -1) for v in residual.values()):
+            yield subset, residual
+
+
 def important_subsets(d: DlDiagram, limit: int | None = None) -> list[EssentialReport]:
     """All important double-line subsets, sorted by cardinality.
 
     The full double-line set is always important, so the list is never
     empty.  ``limit`` caps the number of reports returned.
     """
-    total = len(_double_positions(d))
+    raw, holds = _raw_parities(d), _line_crossings(d)
     reports: list[EssentialReport] = []
     kmin: int | None = None
-    for k in range(total + 1):
-        for subset in _subsets_of_size(d, k):
-            vals = _residual_parities_if_important(d, subset)
-            if vals is None:
-                continue
+    for k in range(len(holds) + 1):
+        for subset, residual in _important_of_size(d, k, raw, holds):
             if kmin is None:
                 kmin = k
+            vals = tuple(sorted(residual.values()))
             reports.append(EssentialReport(subset, k, vals, k == kmin))
             if limit is not None and len(reports) >= limit:
                 return reports
@@ -302,38 +313,16 @@ def essential_count(d: DlDiagram) -> int:
     are grouped into classes, so block-shaped diagrams stay cheap.
     """
     deg = degree(d)
-    positions = _double_positions(d)
+    holds = _line_crossings(d)
     cids = d.crossing_ids
-    membership: dict[int, frozenset[int]] = {}
-    for cid in cids:
-        u = d.passage_index(cid, UNDER)
-        n = len(d.tokens)
-        inside = set()
-        j = (u + 1) % n
-        while True:
-            t = d.tokens[j]
-            if isinstance(t, Passage) and t.crossing_id == cid:
-                break
-            if isinstance(t, DoubleLine):
-                inside.add(j)
-            j = (j + 1) % n
-        membership[cid] = frozenset(inside)
-
-    classes: dict[tuple, int] = {}
-    for i in positions:
-        sig = (
-            frozenset(c for c in cids if i in membership[c]),
-            d.tokens[i].sign,
-        )
-        classes[sig] = classes.get(sig, 0) + 1
+    classes = Counter((tuple(members), d.tokens[i].sign) for i, members in holds.items())
     class_list = sorted(
-        ((sig, size) for sig, size in classes.items()),
-        key=lambda item: (-item[1], sorted(item[0][0]), item[0][1]),
+        classes.items(), key=lambda item: (-item[1], item[0][0], item[0][1])
     )
-    raw = {cid: raw_winding_sum(d, cid) for cid in cids}
+    raw = _raw_parities(d)
     # Removing a subset S leaves parity raw[c] - sum(S within gamma_c), which
     # must land in {0, -1}; the removed total must equal the degree.
-    targets = {cid: (raw[cid] - 0, raw[cid] + 1) for cid in cids}
+    targets = {cid: (raw[cid], raw[cid] + 1) for cid in cids}
 
     ncls = len(class_list)
     # Suffix capacity per crossing: how much +/- weight remains from class i on.
@@ -344,21 +333,14 @@ def essential_count(d: DlDiagram) -> int:
     cid_index = {cid: ix for ix, cid in enumerate(cids)}
     for i in range(ncls - 1, -1, -1):
         (members, sign), size = class_list[i]
-        for ix in range(len(cids)):
-            suf_plus[i][ix] = suf_plus[i + 1][ix]
-            suf_minus[i][ix] = suf_minus[i + 1][ix]
+        suf_plus[i] = suf_plus[i + 1][:]
+        suf_minus[i] = suf_minus[i + 1][:]
         suf_plus_all[i] = suf_plus_all[i + 1]
         suf_minus_all[i] = suf_minus_all[i + 1]
+        side, side_all = (suf_plus, suf_plus_all) if sign > 0 else (suf_minus, suf_minus_all)
         for cid in members:
-            ix = cid_index[cid]
-            if sign > 0:
-                suf_plus[i][ix] += size
-            else:
-                suf_minus[i][ix] += size
-        if sign > 0:
-            suf_plus_all[i] += size
-        else:
-            suf_minus_all[i] += size
+            side[i][cid_index[cid]] += size
+        side_all[i] += size
 
     def feasible(k: int) -> bool:
         # DFS over per-class removal counts with interval pruning.
@@ -377,11 +359,8 @@ def essential_count(d: DlDiagram) -> int:
             if not lo <= deg <= hi:
                 return False
             if i == ncls:
-                return remaining == 0 and total_sign == deg and all(
-                    targets[cids[ix]][0] <= cur[ix] <= targets[cids[ix]][1]
-                    and cur[ix] in targets[cids[ix]]
-                    for ix in range(len(cids))
-                )
+                # No capacity is left, so the checks above were exact.
+                return remaining == 0
             (members, sign), size = class_list[i]
             idxs = [cid_index[c] for c in members]
             for x in range(min(size, remaining), -1, -1):
@@ -395,22 +374,12 @@ def essential_count(d: DlDiagram) -> int:
 
         return rec(0, k, 0)
 
-    start = abs(deg) if (abs(deg) + deg) % 2 == 0 else abs(deg) + 1
-    for k in range(start, len(positions) + 1):
-        if (k + deg) % 2 != 0:
-            continue
+    # A subset removing the degree has the degree's parity and at least |deg| lines.
+    for k in range(abs(deg), len(holds) + 1, 2):
         if feasible(k):
             return k
     # The full set is always important.
-    return len(positions)
-
-
-def _first_essential_subset(d: DlDiagram) -> tuple[int, ...]:
-    kmin = essential_count(d)
-    for subset in _subsets_of_size(d, kmin):
-        if _residual_parities_if_important(d, subset) is not None:
-            return subset
-    raise AssertionError("essential_count reported an infeasible cardinality")
+    return len(holds)
 
 
 def essential_diagram(d: DlDiagram) -> tuple[DlDiagram, MoveTrace]:
@@ -420,25 +389,18 @@ def essential_diagram(d: DlDiagram) -> tuple[DlDiagram, MoveTrace]:
     Returns the diagram together with the elimination trace certifying
     that the non-essential double lines can be removed.
     """
-    dll = _first_essential_subset(d)
-    residual = _delete_positions(d, dll)
-    cert = eliminate_double_lines(residual)
-    neg = {
-        cid for cid in residual.crossing_ids if raw_winding_sum(residual, cid) == -1
-    }
-    keep = set(dll)
+    essential, residual = next(
+        _important_of_size(d, essential_count(d), _raw_parities(d), _line_crossings(d))
+    )
+    cert = eliminate_double_lines(_delete_positions(d, essential))
+    keep = set(essential)
     out: list[Token] = []
     for i, t in enumerate(d.tokens):
         if isinstance(t, DoubleLine):
             if i in keep:
                 out.append(t)
-            continue
-        if t.crossing_id in neg:
-            flipped = Passage(t.crossing_id, UNDER if t.role != UNDER else OVER, -t.sign)
-            if flipped.role == UNDER:
-                out.extend([DoubleLine(1), flipped, DoubleLine(-1)])
-            else:
-                out.append(flipped)
+        elif residual[t.crossing_id] == -1:
+            out.extend(moves.flip_passage(t, 1))
         else:
             out.append(t)
     return DlDiagram(tuple(out)), cert.trace

@@ -76,9 +76,17 @@ class TestApply:
         with pytest.raises(MoveError):
             dl.apply(dl.parse("D+ D+"), mk(DL_PAIR_CANCEL, pos=0))
 
-    def test_unknown_crossing(self):
-        with pytest.raises(MoveError):
-            dl.apply(dl.parse("U1+ O1+"), mk(CROSSING_CHANGE, crossing_id=2, chirality=1))
+    @pytest.mark.parametrize(
+        "move",
+        [
+            mk(CROSSING_CHANGE, crossing_id=2, chirality=1),
+            mk(CROSSING_SLIDING, crossing_id=9, direction=1),
+        ],
+        ids=["CrossingChange", "CrossingSliding"],
+    )
+    def test_unknown_crossing(self, move):
+        with pytest.raises(MoveError, match="unknown crossing id"):
+            dl.apply(dl.parse("U1+ O1+"), move)
 
 
 class TestEnumerate:
@@ -176,15 +184,47 @@ class TestTrace:
             dl.replay(t)
         assert e.value.index == 1
 
+    # A start built directly, with crossing ids out of first-occurrence
+    # order: reading it back must keep the ids the steps refer to.
+    UNORDERED = DlDiagram(
+        (
+            Passage(2, "U", 1),
+            DoubleLine(-1),
+            Passage(1, "U", 1),
+            Passage(2, "O", 1),
+            Passage(1, "O", 1),
+            DoubleLine(1),
+        )
+    )
+
     def test_text_roundtrip(self):
         d = dl.parse("U1+ O1+")
         t = MoveTrace(d, (mk(DL_PAIR_ADD, pos=0, sign=1),))
         assert MoveTrace.from_text(t.to_text()) == t
+        t = MoveTrace(self.UNORDERED, (mk(CROSSING_CHANGE, crossing_id=2, chirality=1),))
+        back = MoveTrace.from_text(t.to_text())
+        assert back == t and dl.replay(back) == dl.replay(t)
 
     def test_json_roundtrip(self):
         d = dl.parse("U1+ O1+")
         t = MoveTrace(d, (mk(CROSSING_SLIDING, crossing_id=1, direction=-1),))
         assert MoveTrace.from_json(t.to_json()) == t
+        t = MoveTrace(self.UNORDERED, (mk(CROSSING_CHANGE, crossing_id=2, chirality=1),))
+        back = MoveTrace.from_json(t.to_json())
+        assert back == t and dl.replay(back) == dl.replay(t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(diagrams(), st.data())
+    def test_roundtrip_replays_alike(self, d, data):
+        # Shuffled codes name their crossings out of first-occurrence order.
+        steps, cur = [], d
+        for _ in range(data.draw(st.integers(0, 3))):
+            m = data.draw(st.sampled_from(dl.enumerate_moves(cur, {CROSSING_CHANGE, DL_PAIR_ADD})))
+            steps.append(m)
+            cur = dl.apply(cur, m)
+        t = MoveTrace(d, tuple(steps))
+        assert dl.replay(MoveTrace.from_text(t.to_text())) == cur
+        assert dl.replay(MoveTrace.from_json(t.to_json())) == cur
 
     def test_move_line_roundtrip(self):
         m = mk(CROSSING_CHANGE, crossing_id=3, chirality=-1)

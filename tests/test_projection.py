@@ -1,5 +1,7 @@
 """Parity normalization, double-line removal, and minimal important subsets."""
 
+import itertools
+
 import pytest
 
 import dlknot as dl
@@ -7,7 +9,7 @@ from dlknot.diagram import DoubleLine
 from dlknot.moves import CROSSING_CHANGE, CROSSING_SLIDING, DL_PAIR_CANCEL, mk
 from dlknot.projection import ProjectionError
 
-from conftest import random_degree_zero
+from conftest import random_degree_zero, random_diagram
 
 
 def _force_parities(d, rng):
@@ -116,6 +118,23 @@ class TestImportantSubsets:
         minimal = [r for r in reports if r.is_essential]
         assert minimal and all(r.cardinality == 4 for r in minimal)
 
+    @staticmethod
+    def _enumerate(d):
+        """Every important subset by brute force: each combination of lines,
+        by cardinality, with its residual diagram built and measured."""
+        positions = [i for i, t in enumerate(d.tokens) if isinstance(t, DoubleLine)]
+        found = []
+        for k in range(len(positions) + 1):
+            for subset in itertools.combinations(positions, k):
+                residual = dl.DlDiagram(
+                    tuple(t for i, t in enumerate(d.tokens) if i not in subset)
+                )
+                sums = sorted(dl.raw_winding_sum(residual, c) for c in residual.crossing_ids)
+                if dl.degree(residual) == 0 and all(v in (0, -1) for v in sums):
+                    found.append((subset, k, tuple(sums)))
+        kmin = found[0][1]
+        return [(s, k, v, k == kmin) for s, k, v in found]
+
     def test_reports_reverify(self, rng):
         for _ in range(20):
             d = random_degree_zero(rng, 4, 6)
@@ -128,6 +147,21 @@ class TestImportantSubsets:
                 assert all(
                     p.value in (0, -1) for p in dl.parity_profile(residual)
                 )
+        # The full report list (subsets, cardinalities, residual parities,
+        # flags and order) against the brute-force enumeration.
+        for d in [random_degree_zero(rng, 4, 8) for _ in range(20)] + [
+            random_diagram(rng, 4, 8) for _ in range(20)
+        ]:
+            expect = self._enumerate(d)
+            got = [
+                (r.subset, r.cardinality, r.residual_parities, r.is_essential)
+                for r in dl.important_subsets(d)
+            ]
+            assert got == expect, dl.serialize(d)
+            assert got[:5] == [
+                (r.subset, r.cardinality, r.residual_parities, r.is_essential)
+                for r in dl.important_subsets(d, limit=5)
+            ]
 
     def test_limit_caps_output(self):
         d = dl.one_crossing(-2, 2, 1)
