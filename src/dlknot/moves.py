@@ -7,15 +7,23 @@ derived moves (crossing change, crossing sliding).  Every move is a
 ``MoveInstance``: a kind plus a fully-parameterized site, so applications
 are replayable and invertible.
 
-Position conventions: sites index into the current token tuple; adjacency
-is cyclic, so the pair ``(len-1, 0)`` is adjacent.  Insertion positions
+Position conventions: a site is a position ``p`` of the current token
+tuple and names the adjacent pair ``(p, p+1)``; adjacency is cyclic, so
+the site ``len-1`` names the pair ``(len-1, 0)``.  Insertion positions
 mean "insert before the token currently at that index".
+
+Five moves match a pattern at one to three sites: R1Remove, R2Remove and
+DlPairCancel5 delete their pairs; DlSlide4 and R3 swap the two tokens of
+each pair.  ``_site_error`` holds the pattern test for all five, and both
+``apply`` and ``enumerate_moves`` use it.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import combinations
 
 from .diagram import (
     OVER,
@@ -54,6 +62,17 @@ ALL_KINDS = frozenset(
     }
 )
 
+# The site parameters of the pattern moves, and those of them that swap
+# the tokens of each site instead of deleting them.
+_SITE_KEYS = {
+    R1_REMOVE: ("pos",),
+    DL_SLIDE: ("pos",),
+    DL_PAIR_CANCEL: ("pos",),
+    R2_REMOVE: ("pos1", "pos2"),
+    R3: ("pos1", "pos2", "pos3"),
+}
+_SWAP_KINDS = frozenset({DL_SLIDE, R3})
+
 
 class MoveError(ValueError):
     """Raised when a move instance does not match its site."""
@@ -81,16 +100,18 @@ class MoveInstance:
         words = line.split()
         if not words or words[0] not in ALL_KINDS:
             raise MoveError(f"bad move line {line!r}")
-        params = []
+        params: dict[str, int | str] = {}
         for w in words[1:]:
             if "=" not in w:
                 raise MoveError(f"bad move parameter {w!r}")
             k, v = w.split("=", 1)
+            if k in params:
+                raise MoveError(f"repeated move parameter {k!r}")
             try:
-                params.append((k, int(v)))
+                params[k] = int(v)
             except ValueError:
-                params.append((k, v))
-        return mk(words[0], **dict(params))
+                params[k] = v
+        return mk(words[0], **params)
 
 
 def mk(kind: str, /, **params: int | str) -> MoveInstance:
@@ -106,12 +127,6 @@ def _cyc(tokens: tuple[Token, ...], i: int) -> Token:
     return tokens[i % len(tokens)]
 
 
-def _delete_cyclic(tokens: tuple[Token, ...], positions: list[int]) -> tuple[Token, ...]:
-    n = len(tokens)
-    drop = {p % n for p in positions}
-    return tuple(t for i, t in enumerate(tokens) if i not in drop)
-
-
 def _check_pos(m: MoveInstance, key: str, n: int, allow_end: bool = False) -> int:
     pos = m[key]
     hi = n if allow_end else n - 1
@@ -125,6 +140,21 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
     tokens = d.tokens
     n = len(tokens)
 
+    keys = _SITE_KEYS.get(m.kind)
+    if keys:
+        sites = [_check_pos(m, k, n) for k in keys]
+        why = _site_error(tokens, m.kind, sites)
+        if why:
+            raise MoveError(f"{m.kind}: {why}")
+        if m.kind in _SWAP_KINDS:
+            out = list(tokens)
+            for i in sites:
+                j = (i + 1) % n
+                out[i], out[j] = out[j], out[i]
+            return DlDiagram(tuple(out))
+        drop = {q % n for p in sites for q in (p, p + 1)}
+        return DlDiagram(tuple(t for i, t in enumerate(tokens) if i not in drop))
+
     if m.kind == R1_ADD:
         pos = _check_pos(m, "pos", n, allow_end=True)
         order, sign = m["order"], m["sign"]
@@ -134,17 +164,6 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
         roles = (UNDER, OVER) if order == "UO" else (OVER, UNDER)
         pair = (Passage(cid, roles[0], sign), Passage(cid, roles[1], sign))
         return DlDiagram(tokens[:pos] + pair + tokens[pos:])
-
-    if m.kind == R1_REMOVE:
-        pos = _check_pos(m, "pos", n)
-        a, b = _cyc(tokens, pos), _cyc(tokens, pos + 1)
-        if not (
-            isinstance(a, Passage)
-            and isinstance(b, Passage)
-            and a.crossing_id == b.crossing_id
-        ):
-            raise MoveError("R1Remove: no kink pair at site")
-        return DlDiagram(_delete_cyclic(tokens, [pos, pos + 1]))
 
     if m.kind == R2_ADD:
         pos1 = _check_pos(m, "pos1", n, allow_end=True)
@@ -166,46 +185,6 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
             out[pos2:pos2] = block2
         return DlDiagram(tuple(out))
 
-    if m.kind == R2_REMOVE:
-        pos1 = _check_pos(m, "pos1", n)
-        pos2 = _check_pos(m, "pos2", n)
-        p = [_cyc(tokens, pos1), _cyc(tokens, pos1 + 1), _cyc(tokens, pos2), _cyc(tokens, pos2 + 1)]
-        if not all(isinstance(t, Passage) for t in p):
-            raise MoveError("R2Remove: site tokens are not passages")
-        x, y, y2, x2 = p
-        if len({pos1 % n, (pos1 + 1) % n, pos2 % n, (pos2 + 1) % n}) != 4:
-            raise MoveError("R2Remove: overlapping sites")
-        if not (
-            x.crossing_id != y.crossing_id
-            and x.role == y.role
-            and x2.role == y2.role
-            and x.role != x2.role
-            and x2.crossing_id == x.crossing_id
-            and y2.crossing_id == y.crossing_id
-            and x.sign == -y.sign
-        ):
-            raise MoveError("R2Remove: pattern mismatch")
-        return DlDiagram(_delete_cyclic(tokens, [pos1, pos1 + 1, pos2, pos2 + 1]))
-
-    if m.kind == R3:
-        sites = [m["pos1"], m["pos2"], m["pos3"]]
-        _validate_r3(tokens, sites)
-        out = list(tokens)
-        for p in sites:
-            i, j = p % n, (p + 1) % n
-            out[i], out[j] = out[j], out[i]
-        return DlDiagram(tuple(out))
-
-    if m.kind == DL_SLIDE:
-        pos = _check_pos(m, "pos", n)
-        a, b = _cyc(tokens, pos), _cyc(tokens, pos + 1)
-        if isinstance(a, DoubleLine) == isinstance(b, DoubleLine):
-            raise MoveError("DlSlide4: need one passage and one double line")
-        out = list(tokens)
-        i, j = pos % n, (pos + 1) % n
-        out[i], out[j] = out[j], out[i]
-        return DlDiagram(tuple(out))
-
     if m.kind == DL_PAIR_ADD:
         pos = _check_pos(m, "pos", n, allow_end=True)
         sign = m["sign"]
@@ -213,13 +192,6 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
             raise MoveError("bad DlPairAdd5 sign")
         pair = (DoubleLine(sign), DoubleLine(-sign))
         return DlDiagram(tokens[:pos] + pair + tokens[pos:])
-
-    if m.kind == DL_PAIR_CANCEL:
-        pos = _check_pos(m, "pos", n)
-        a, b = _cyc(tokens, pos), _cyc(tokens, pos + 1)
-        if not (isinstance(a, DoubleLine) and isinstance(b, DoubleLine) and a.sign == -b.sign):
-            raise MoveError("DlPairCancel5: no adjacent opposite pair at site")
-        return DlDiagram(_delete_cyclic(tokens, [pos, pos + 1]))
 
     if m.kind == CROSSING_CHANGE:
         chirality = m["chirality"] if _has(m, "chirality") else 1
@@ -270,35 +242,54 @@ def _map_crossing(d: DlDiagram, cid: int, f) -> DlDiagram:
     return DlDiagram(tuple(out))
 
 
-def _validate_r3(tokens: tuple[Token, ...], sites: list[int]) -> None:
+def _site_error(tokens: tuple[Token, ...], kind: str, sites: Sequence[int]) -> str | None:
+    """Why the pairs at ``sites`` (positions in range) do not form the
+    pattern of the move ``kind``, one of the five in ``_SITE_KEYS``; None
+    when they do.  The cheap token tests come before the set that tells
+    whether the pairs overlap."""
     n = len(tokens)
-    if n < 6:
-        raise MoveError("R3: diagram too small")
-    positions = []
-    for p in sites:
-        if not isinstance(p, int) or not 0 <= p < n:
-            raise MoveError("R3: site out of range")
-        positions.extend([p % n, (p + 1) % n])
-    if len(set(positions)) != 6:
-        raise MoveError("R3: overlapping sites")
-    pairs = []
-    for p in sites:
-        a, b = _cyc(tokens, p), _cyc(tokens, p + 1)
-        if not (isinstance(a, Passage) and isinstance(b, Passage)):
-            raise MoveError("R3: site tokens are not adjacent passages")
-        pairs.append((a, b))
-    ids: dict[int, list[int]] = {}
-    for idx, (a, b) in enumerate(pairs):
-        for t in (a, b):
-            ids.setdefault(t.crossing_id, []).append(idx)
-    if len(ids) != 3:
-        raise MoveError("R3: need exactly three crossings")
-    for cid, where in ids.items():
-        if len(where) != 2 or where[0] == where[1]:
-            raise MoveError("R3: each crossing must span two distinct sites")
-    signatures = sorted(tuple(sorted((a.role, b.role))) for a, b in pairs)
-    if signatures != [("O", "O"), ("O", "U"), ("U", "U")]:
-        raise MoveError("R3: over/under pattern mismatch")
+    ts = [tokens[q % n] for p in sites for q in (p, p + 1)]
+    if kind == DL_SLIDE:
+        a, b = ts
+        if isinstance(a, DoubleLine) == isinstance(b, DoubleLine):
+            return "need one passage and one double line"
+        return None
+    if kind == DL_PAIR_CANCEL:
+        a, b = ts
+        if isinstance(a, DoubleLine) and isinstance(b, DoubleLine) and a.sign == -b.sign:
+            return None
+        return "no adjacent opposite pair at site"
+    if not all(isinstance(t, Passage) for t in ts):
+        return "site tokens are not passages"
+    if kind == R1_REMOVE:
+        a, b = ts
+        return None if a.crossing_id == b.crossing_id else "no kink pair at site"
+    if kind == R2_REMOVE:
+        x, y, y2, x2 = ts
+        if not (
+            x.crossing_id != y.crossing_id
+            and x.role == y.role
+            and x2.role == y2.role
+            and x.role != x2.role
+            and x2.crossing_id == x.crossing_id
+            and y2.crossing_id == y.crossing_id
+            and x.sign == -y.sign
+        ):
+            return "pattern mismatch"
+    else:
+        ids: dict[int, list[int]] = {}
+        for i, t in enumerate(ts):
+            ids.setdefault(t.crossing_id, []).append(i // 2)
+        if len(ids) != 3:
+            return "need exactly three crossings"
+        if any(len(where) != 2 or where[0] == where[1] for where in ids.values()):
+            return "each crossing must span two distinct sites"
+        signatures = sorted(tuple(sorted((ts[i].role, ts[i + 1].role))) for i in (0, 2, 4))
+        if signatures != [("O", "O"), ("O", "U"), ("U", "U")]:
+            return "over/under pattern mismatch"
+    if len({q % n for p in sites for q in (p, p + 1)}) != 2 * len(sites):
+        return "overlapping sites"
+    return None
 
 
 def enumerate_moves(d: DlDiagram, kinds: frozenset[str] | set[str] = ALL_KINDS) -> list[MoveInstance]:
@@ -307,6 +298,8 @@ def enumerate_moves(d: DlDiagram, kinds: frozenset[str] | set[str] = ALL_KINDS) 
     n = len(tokens)
     out: list[MoveInstance] = []
     ins_positions = range(max(n, 1))
+    # On a 2-token word, pos 1 names the same pair as pos 0.
+    pair_positions = range(1 if n == 2 else n)
 
     for kind in sorted(kinds):
         if kind == R1_ADD:
@@ -314,17 +307,10 @@ def enumerate_moves(d: DlDiagram, kinds: frozenset[str] | set[str] = ALL_KINDS) 
                 for order in ("OU", "UO"):
                     for sign in (1, -1):
                         out.append(mk(R1_ADD, pos=pos, order=order, sign=sign))
-        elif kind == R1_REMOVE:
-            for pos in range(n):
-                a, b = _cyc(tokens, pos), _cyc(tokens, pos + 1)
-                if (
-                    isinstance(a, Passage)
-                    and isinstance(b, Passage)
-                    and a.crossing_id == b.crossing_id
-                ):
-                    if n == 2 and pos == 1:
-                        continue  # same kink as pos 0 on a 2-token word
-                    out.append(mk(R1_REMOVE, pos=pos))
+        elif kind in (R1_REMOVE, DL_SLIDE, DL_PAIR_CANCEL):
+            for pos in pair_positions:
+                if _site_error(tokens, kind, (pos,)) is None:
+                    out.append(mk(kind, pos=pos))
         elif kind == R2_ADD:
             for pos1 in ins_positions:
                 for pos2 in ins_positions:
@@ -332,39 +318,22 @@ def enumerate_moves(d: DlDiagram, kinds: frozenset[str] | set[str] = ALL_KINDS) 
                         for eps in (1, -1):
                             out.append(mk(R2_ADD, pos1=pos1, pos2=pos2, role=role, eps=eps))
         elif kind == R2_REMOVE:
-            for pos1 in range(n):
-                for pos2 in range(pos1 + 1, n):
-                    cand = mk(R2_REMOVE, pos1=pos1, pos2=pos2)
-                    if _matches(d, cand):
-                        out.append(cand)
+            for pos1, pos2 in combinations(range(n), 2):
+                if _site_error(tokens, R2_REMOVE, (pos1, pos2)) is None:
+                    out.append(mk(R2_REMOVE, pos1=pos1, pos2=pos2))
         elif kind == R3:
             adj = [
                 p
                 for p in range(n)
                 if isinstance(_cyc(tokens, p), Passage) and isinstance(_cyc(tokens, p + 1), Passage)
             ]
-            for i in range(len(adj)):
-                for j in range(i + 1, len(adj)):
-                    for k in range(j + 1, len(adj)):
-                        cand = mk(R3, pos1=adj[i], pos2=adj[j], pos3=adj[k])
-                        if _matches(d, cand):
-                            out.append(cand)
-        elif kind == DL_SLIDE:
-            for pos in range(n):
-                a, b = _cyc(tokens, pos), _cyc(tokens, pos + 1)
-                if isinstance(a, DoubleLine) != isinstance(b, DoubleLine):
-                    out.append(mk(DL_SLIDE, pos=pos))
+            for sites in combinations(adj, 3):
+                if _site_error(tokens, R3, sites) is None:
+                    out.append(mk(R3, pos1=sites[0], pos2=sites[1], pos3=sites[2]))
         elif kind == DL_PAIR_ADD:
             for pos in ins_positions:
                 for sign in (1, -1):
                     out.append(mk(DL_PAIR_ADD, pos=pos, sign=sign))
-        elif kind == DL_PAIR_CANCEL:
-            for pos in range(n):
-                a, b = _cyc(tokens, pos), _cyc(tokens, pos + 1)
-                if isinstance(a, DoubleLine) and isinstance(b, DoubleLine) and a.sign == -b.sign:
-                    if n == 2 and pos == 1:
-                        continue  # same pair as pos 0 on a 2-token word
-                    out.append(mk(DL_PAIR_CANCEL, pos=pos))
         elif kind == CROSSING_CHANGE:
             for cid in d.crossing_ids:
                 for chirality in (1, -1):
@@ -376,14 +345,6 @@ def enumerate_moves(d: DlDiagram, kinds: frozenset[str] | set[str] = ALL_KINDS) 
         else:
             raise MoveError(f"unknown move kind {kind!r}")
     return out
-
-
-def _matches(d: DlDiagram, m: MoveInstance) -> bool:
-    try:
-        apply(d, m)
-        return True
-    except MoveError:
-        return False
 
 
 def invert(m: MoveInstance, context: DlDiagram) -> list[MoveInstance]:
@@ -428,10 +389,8 @@ def invert(m: MoveInstance, context: DlDiagram) -> list[MoveInstance]:
                 eps=first.sign,
             )
         ]
-    if m.kind == R3:
-        return [m]
-    if m.kind == DL_SLIDE:
-        return [m]
+    if m.kind in _SWAP_KINDS:
+        return [m]  # a swap is its own inverse
     if m.kind == DL_PAIR_ADD:
         return [mk(DL_PAIR_CANCEL, pos=m["pos"])]
     if m.kind == DL_PAIR_CANCEL:
@@ -463,15 +422,6 @@ def invert(m: MoveInstance, context: DlDiagram) -> list[MoveInstance]:
     raise MoveError(f"unknown move kind {m.kind!r}")
 
 
-def _cancel_pair_at(d: DlDiagram, pos: int) -> MoveInstance:
-    a, b = _cyc(d.tokens, pos), _cyc(d.tokens, pos + 1)
-    if not (
-        isinstance(a, DoubleLine) and isinstance(b, DoubleLine) and a.sign == -b.sign
-    ):
-        raise MoveError("no cancellable pair at expected site")
-    return mk(DL_PAIR_CANCEL, pos=pos % len(d.tokens))
-
-
 def _hug_cancels(
     d: DlDiagram, cid: int, role: str
 ) -> tuple[list[MoveInstance], DlDiagram]:
@@ -483,14 +433,11 @@ def _hug_cancels(
     """
     steps = []
     cur = d
-    idx = cur.passage_index(cid, role)
-    c1 = _cancel_pair_at(cur, (idx - 2) % len(cur.tokens))
-    steps.append(c1)
-    cur = apply(cur, c1)
-    idx = cur.passage_index(cid, role)
-    c2 = _cancel_pair_at(cur, (idx + 1) % len(cur.tokens))
-    steps.append(c2)
-    cur = apply(cur, c2)
+    for offset in (-2, 1):
+        idx = cur.passage_index(cid, role)
+        step = mk(DL_PAIR_CANCEL, pos=(idx + offset) % len(cur.tokens))
+        steps.append(step)
+        cur = apply(cur, step)
     return steps, cur
 
 
@@ -544,6 +491,10 @@ class MoveTrace:
             for s in steps
         ):
             raise MoveError('trace JSON needs "start" and a "steps" list of {"kind", "params"}')
+        # Only what a move line can hold: JSON's true, false and 1.0 would
+        # pass for the integers 1, 0 and 1.
+        if not all(type(v) in (int, str) for s in steps for v in s["params"].values()):
+            raise MoveError("trace JSON parameter values must be integers or text")
         return cls(
             _read_start(data.get("start")),
             tuple(mk(s["kind"], **s["params"]) for s in steps),

@@ -159,6 +159,7 @@ class TestSearchAndApply:
             ("", "R2Remove pos1=0 pos2=0", "out of range"),
             ("U1+ O1+", "CrossingSliding crossing_id=9 direction=1", "unknown crossing"),
             ("U1+ O1+", "Nope pos=0", "bad move line"),
+            ("U1+ O1+", "DlPairAdd5 pos=9 pos=0 sign=1", "repeated move parameter"),
         ],
         ids=[
             "missing-parameter",
@@ -169,6 +170,7 @@ class TestSearchAndApply:
             "R2Remove-empty",
             "unknown-crossing",
             "unknown-kind",
+            "repeated-parameter",
         ],
     )
     def test_apply_bad_move(self, capsys, diagram, move, message):
@@ -193,6 +195,15 @@ class TestSearchAndApply:
             ("", "empty trace"),
             ("U1+ O1+\nR1Add pos", "bad move parameter"),
             ("U1+ O1+\nCrossingSliding crossing_id=9 direction=1", "unknown crossing"),
+            ("U1+ O1+\nDlPairAdd5 pos=0 sign=1 pos=2", "repeated move parameter"),
+            ('{"start": "U1+ O1+", "steps": [{"kind": "DlPairAdd5", "params": {"pos": true, "sign": true}}]}',
+             "integers or text"),
+            ('{"start": "U1+ O1+", "steps": [{"kind": "DlPairAdd5", "params": {"pos": 0, "sign": 1.0}}]}',
+             "integers or text"),
+            ('{"start": "U1+ O1+", "steps": [{"kind": "CrossingChange", "params": {"crossing_id": 1.0}}]}',
+             "integers or text"),
+            ('{"start": "U1+ O1+", "steps": [{"kind": "R1Add", "params": {"pos": 0, "order": "UO", "sign": -1.0}}]}',
+             "integers or text"),
         ],
         ids=[
             "empty-object",
@@ -207,6 +218,11 @@ class TestSearchAndApply:
             "empty-file",
             "bad-move-line",
             "unknown-crossing",
+            "repeated-parameter",
+            "bool-values",
+            "float-sign",
+            "float-crossing-id",
+            "float-sign-into-diagram",
         ],
     )
     def test_replay_bad_file(self, capsys, tmp_path, content, message):

@@ -1,5 +1,8 @@
 """Move calculus: application, enumeration, inversion, traces."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,10 @@ from dlknot.moves import (
     CROSSING_SLIDING,
     DL_PAIR_ADD,
     DL_PAIR_CANCEL,
+    DL_SLIDE,
     R1_REMOVE,
+    R2_REMOVE,
+    R3,
     MoveError,
     MoveInstance,
     MoveTrace,
@@ -107,6 +113,42 @@ class TestEnumerate:
             d = random_diagram(rng, max_crossings=4, max_double_lines=6)
             for m in dl.enumerate_moves(d, dl.ALL_KINDS):
                 dl.apply(d, m)  # must not raise
+
+    # The pattern kinds and their site parameters.
+    SITE_KEYS = {
+        R1_REMOVE: ("pos",),
+        DL_SLIDE: ("pos",),
+        DL_PAIR_CANCEL: ("pos",),
+        R2_REMOVE: ("pos1", "pos2"),
+        R3: ("pos1", "pos2", "pos3"),
+    }
+
+    @staticmethod
+    def trial_sites(d, kind, keys):
+        """Reference: every increasing tuple of sites where ``apply``
+        accepts ``kind``, found by trying each one."""
+        n = len(d.tokens)
+        found = []
+        for sites in combinations(range(n), len(keys)):
+            if n == 2 and sites == (1,):
+                continue  # names the same pair as pos 0
+            m = mk(kind, **dict(zip(keys, sites)))
+            try:
+                dl.apply(d, m)
+            except MoveError:
+                continue
+            found.append(m)
+        return found
+
+    def test_pattern_sites_complete(self, rng):
+        hits = Counter()
+        for _ in range(200):
+            d = random_diagram(rng, max_crossings=5, max_double_lines=5)
+            for kind, keys in self.SITE_KEYS.items():
+                expect = self.trial_sites(d, kind, keys)
+                assert dl.enumerate_moves(d, {kind}) == expect, (kind, dl.serialize(d))
+                hits[kind] += len(expect)
+        assert all(hits[kind] for kind in self.SITE_KEYS), hits
 
     def test_deterministic(self, rng):
         d = random_diagram(rng, max_crossings=4, max_double_lines=6)
