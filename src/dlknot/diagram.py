@@ -161,37 +161,52 @@ def serialize(d: DlDiagram) -> str:
     return " ".join(token_to_text(t) for t in d.tokens)
 
 
-def _token_key(t: Token) -> tuple:
-    # Double lines sort before passages; Under before Over, then smaller id,
-    # then '+' before '-'.
-    if isinstance(t, DoubleLine):
-        return (0, 0 if t.sign > 0 else 1)
-    return (1, 0 if t.role == UNDER else 1, t.crossing_id, 0 if t.sign > 0 else 1)
+def _code(tokens: tuple[Token, ...]) -> tuple[int, ...]:
+    """The word with crossing names replaced by positions: a double line
+    codes as 0 (+) or 2 (-), a passage as 4 * (cyclic offset to the other
+    passage of its crossing) + 2 * (Over) + (sign -).  Two words differ
+    only by rotation and renaming iff their codes are rotations of each
+    other."""
+    n = len(tokens)
+    code = [0] * n
+    first: dict[int, int] = {}
+    for i, t in enumerate(tokens):
+        if isinstance(t, DoubleLine):
+            code[i] = 1 - t.sign
+            continue
+        code[i] = 2 * (t.role == OVER) + (t.sign < 0)
+        j = first.pop(t.crossing_id, None)
+        if j is None:
+            first[t.crossing_id] = i
+        else:
+            code[i] += 4 * (n + j - i)
+            code[j] += 4 * (i - j)
+    return tuple(code)
+
+
+def canonical_key(d: DlDiagram) -> tuple[int, ...]:
+    """The least rotation of the word's code: equal for two diagrams iff
+    they differ only by a cyclic rotation and a renaming of crossing ids."""
+    c = _code(d.tokens)
+    return min((c[i:] + c[:i] for i in range(len(c))), default=())
 
 
 def canonicalize(d: DlDiagram) -> DlDiagram:
-    """The minimal representative of the rotation/relabeling orbit of ``d``.
+    """A representative of the rotation/relabeling orbit of ``d``: the
+    rotation with the least code, crossings relabeled by first occurrence.
 
     Two diagrams have equal canonical forms iff they differ only by a
     cyclic rotation of the word and a renaming of crossing ids.
     """
-    n = len(d.tokens)
-    if n == 0:
+    c = _code(d.tokens)
+    if not c:
         return d
-    best: tuple[Token, ...] | None = None
-    best_key: tuple | None = None
-    for r in range(n):
-        rot = d.tokens[r:] + d.tokens[:r]
-        cand = tuple(_relabel_first_occurrence(rot))
-        key = tuple(_token_key(t) for t in cand)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    assert best is not None
-    return DlDiagram(best)
+    r = min(range(len(c)), key=lambda i: c[i:] + c[:i])
+    return DlDiagram(tuple(_relabel_first_occurrence(d.tokens[r:] + d.tokens[:r])))
 
 
 def canonically_equal(a: DlDiagram, b: DlDiagram) -> bool:
-    return canonicalize(a).tokens == canonicalize(b).tokens
+    return canonical_key(a) == canonical_key(b)
 
 
 def degree(d: DlDiagram) -> int:

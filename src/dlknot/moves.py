@@ -21,7 +21,8 @@ each pair.  ``_site_error`` holds the pattern test for all five, and both
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -62,6 +63,20 @@ ALL_KINDS = frozenset(
     }
 )
 
+# The number of tokens each kind adds to the word, exact for every instance.
+GROWTH = {
+    R1_ADD: 2,
+    R2_ADD: 4,
+    DL_PAIR_ADD: 2,
+    CROSSING_CHANGE: 2,
+    CROSSING_SLIDING: 4,
+    R1_REMOVE: -2,
+    R2_REMOVE: -4,
+    DL_PAIR_CANCEL: -2,
+    DL_SLIDE: 0,
+    R3: 0,
+}
+
 # The site parameters of the pattern moves, and those of them that swap
 # the tokens of each site instead of deleting them.
 _SITE_KEYS = {
@@ -72,6 +87,9 @@ _SITE_KEYS = {
     R3: ("pos1", "pos2", "pos3"),
 }
 _SWAP_KINDS = frozenset({DL_SLIDE, R3})
+
+
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 class MoveError(ValueError):
@@ -107,10 +125,9 @@ class MoveInstance:
             k, v = w.split("=", 1)
             if k in params:
                 raise MoveError(f"repeated move parameter {k!r}")
-            try:
-                params[k] = int(v)
-            except ValueError:
-                params[k] = v
+            # Only the spelling to_line writes: int() would also read
+            # "+1", "1_0" and non-ASCII digits.
+            params[k] = int(v) if _INT_RE.fullmatch(v) else v
         return mk(words[0], **params)
 
 
@@ -127,10 +144,15 @@ def _cyc(tokens: tuple[Token, ...], i: int) -> Token:
     return tokens[i % len(tokens)]
 
 
+def _is_unit(v: object) -> bool:
+    """``v`` is the integer 1 or -1; ``True`` does not count."""
+    return type(v) is int and v in (1, -1)
+
+
 def _check_pos(m: MoveInstance, key: str, n: int, allow_end: bool = False) -> int:
     pos = m[key]
     hi = n if allow_end else n - 1
-    if not (isinstance(pos, int) and 0 <= pos <= hi):
+    if not (type(pos) is int and 0 <= pos <= hi):
         raise MoveError(f"{key}={pos!r} out of range for {n} tokens")
     return pos
 
@@ -158,7 +180,7 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
     if m.kind == R1_ADD:
         pos = _check_pos(m, "pos", n, allow_end=True)
         order, sign = m["order"], m["sign"]
-        if order not in ("UO", "OU") or sign not in (1, -1):
+        if order not in ("UO", "OU") or not _is_unit(sign):
             raise MoveError("bad R1Add parameters")
         cid = _fresh_id(tokens)
         roles = (UNDER, OVER) if order == "UO" else (OVER, UNDER)
@@ -169,7 +191,7 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
         pos1 = _check_pos(m, "pos1", n, allow_end=True)
         pos2 = _check_pos(m, "pos2", n, allow_end=True)
         role, eps = m["role"], m["eps"]
-        if role not in (OVER, UNDER) or eps not in (1, -1):
+        if role not in (OVER, UNDER) or not _is_unit(eps):
             raise MoveError("bad R2Add parameters")
         rr = UNDER if role == OVER else OVER
         base = _fresh_id(tokens)
@@ -188,20 +210,20 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
     if m.kind == DL_PAIR_ADD:
         pos = _check_pos(m, "pos", n, allow_end=True)
         sign = m["sign"]
-        if sign not in (1, -1):
+        if not _is_unit(sign):
             raise MoveError("bad DlPairAdd5 sign")
         pair = (DoubleLine(sign), DoubleLine(-sign))
         return DlDiagram(tokens[:pos] + pair + tokens[pos:])
 
     if m.kind == CROSSING_CHANGE:
         chirality = m["chirality"] if _has(m, "chirality") else 1
-        if chirality not in (1, -1):
+        if not _is_unit(chirality):
             raise MoveError("bad CrossingChange chirality")
         return _map_crossing(d, m["crossing_id"], lambda t: flip_passage(t, 1, chirality))
 
     if m.kind == CROSSING_SLIDING:
         s = m["direction"]
-        if s not in (1, -1):
+        if not _is_unit(s):
             raise MoveError("bad CrossingSliding direction")
         return _map_crossing(d, m["crossing_id"], lambda t: hug(t, 1, s))
 
@@ -229,6 +251,8 @@ def flip_passage(t: Passage, pairs: int, chirality: int = 1) -> list[Token]:
 
 def _map_crossing(d: DlDiagram, cid: int, f) -> DlDiagram:
     """Replace each passage of crossing ``cid`` by the tokens ``f`` gives for it."""
+    if type(cid) is not int:
+        raise MoveError(f"unknown crossing id {cid!r}")
     out: list[Token] = []
     for t in d.tokens:
         if isinstance(t, Passage) and t.crossing_id == cid:
@@ -292,7 +316,7 @@ def _site_error(tokens: tuple[Token, ...], kind: str, sites: Sequence[int]) -> s
     return None
 
 
-def enumerate_moves(d: DlDiagram, kinds: frozenset[str] | set[str] = ALL_KINDS) -> list[MoveInstance]:
+def enumerate_moves(d: DlDiagram, kinds: Iterable[str] = ALL_KINDS) -> list[MoveInstance]:
     """All applicable instances of the requested kinds, in deterministic order."""
     tokens = d.tokens
     n = len(tokens)

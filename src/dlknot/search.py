@@ -1,9 +1,12 @@
 """Bounded breadth-first equivalence search over the move graph.
 
 The move graph is infinite, so the search is bounded by a maximum number
-of moves and a maximum token length; states are deduplicated on canonical
-form.  A hit comes with a replayable trace; a miss means only that the
-target is not reachable within the bounds, or that the degrees differ.
+of moves and a maximum token length.  A state is expanded only with the
+move kinds whose growth (``moves.GROWTH``) fits the length bound, so no
+child over the bound is built; states are deduplicated on
+``canonical_key``.  A hit comes with a replayable trace; a miss means
+only that the target is not reachable within the bounds, or that the
+degrees differ.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .diagram import DlDiagram, canonicalize, degree
-from .moves import ALL_KINDS, MoveInstance, MoveTrace, apply, enumerate_moves
+from .diagram import DlDiagram, canonical_key, degree
+from .moves import ALL_KINDS, GROWTH, MoveInstance, MoveTrace, apply, enumerate_moves
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,8 @@ def bfs_search(
     if check_invariants and degree(start) != degree(target):
         return SearchResult(False, None, 0, max_moves, max_len)
 
-    goal = canonicalize(target).tokens
-    start_key = canonicalize(start).tokens
+    goal = canonical_key(target)
+    start_key = canonical_key(start)
     if start_key == goal:
         return SearchResult(True, MoveTrace(start, ()), 1, max_moves, max_len)
 
@@ -54,11 +57,12 @@ def bfs_search(
         d, path = queue.popleft()
         if len(path) >= max_moves:
             continue
-        for m in enumerate_moves(d, kinds):
+        room = max_len - len(d.tokens)
+        # An unknown kind passes, so that enumerate_moves reports it.
+        fitting = [k for k in kinds if GROWTH.get(k, room) <= room]
+        for m in enumerate_moves(d, fitting):
             nxt = apply(d, m)
-            if len(nxt.tokens) > max_len:
-                continue
-            key = canonicalize(nxt).tokens
+            key = canonical_key(nxt)
             if key in seen:
                 continue
             seen.add(key)

@@ -160,6 +160,11 @@ class TestSearchAndApply:
             ("U1+ O1+", "CrossingSliding crossing_id=9 direction=1", "unknown crossing"),
             ("U1+ O1+", "Nope pos=0", "bad move line"),
             ("U1+ O1+", "DlPairAdd5 pos=9 pos=0 sign=1", "repeated move parameter"),
+            # Integers only as to_line writes them.
+            ("U1+ O1+", "DlPairAdd5 pos=0_1 sign=1", "out of range"),
+            ("U1+ O1+", "DlPairAdd5 pos=\u0663 sign=1", "out of range"),
+            ("U1+ O1+", "DlPairAdd5 pos=0 sign=+1", "bad DlPairAdd5 sign"),
+            ("U1+ O1+", "DlPairAdd5 pos=0 sign=1_0", "bad DlPairAdd5 sign"),
         ],
         ids=[
             "missing-parameter",
@@ -171,6 +176,10 @@ class TestSearchAndApply:
             "unknown-crossing",
             "unknown-kind",
             "repeated-parameter",
+            "underscore-position",
+            "arabic-indic-position",
+            "plus-sign",
+            "underscore-sign",
         ],
     )
     def test_apply_bad_move(self, capsys, diagram, move, message):

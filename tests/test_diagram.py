@@ -77,6 +77,69 @@ class TestCanonicalize:
             assert dl.degree(dl.canonicalize(d)) == dl.degree(d)
 
 
+def reference_canonical(d):
+    """The least, under a fixed token order, of every rotation of the word
+    with crossings relabeled by first occurrence (the O(n^2) definition
+    ``canonical_key`` replaces)."""
+
+    def token_key(t):
+        if isinstance(t, DoubleLine):
+            return (0, t.sign < 0)
+        return (1, t.role == "O", t.crossing_id, t.sign < 0)
+
+    best = None
+    for r in range(len(d.tokens)):
+        mapping = {}
+        cand = []
+        for t in d.tokens[r:] + d.tokens[:r]:
+            if isinstance(t, Passage):
+                t = Passage(mapping.setdefault(t.crossing_id, len(mapping) + 1), t.role, t.sign)
+            cand.append(token_key(t))
+        best = cand if best is None or cand < best else best
+    return best
+
+
+def rotated_and_renamed(rng, d):
+    """``d`` rotated by a random amount with its crossings renamed at random."""
+    ids = d.crossing_ids
+    new = dict(zip(ids, rng.sample(range(1, 60), len(ids))))
+    r = rng.randrange(len(d.tokens)) if d.tokens else 0
+    return DlDiagram(
+        tuple(
+            Passage(new[t.crossing_id], t.role, t.sign) if isinstance(t, Passage) else t
+            for t in d.tokens[r:] + d.tokens[:r]
+        )
+    )
+
+
+class TestCanonicalKey:
+    def test_matches_reference(self, rng):
+        same = differ = 0
+        for _ in range(3000):
+            # Small words, so that unrelated draws are often equivalent.
+            a = random_diagram(rng, max_crossings=2, max_double_lines=3)
+            b = random_diagram(rng, max_crossings=2, max_double_lines=3)
+            for x, y in ((a, b), (a, rotated_and_renamed(rng, a)), (a, rotated_and_renamed(rng, b))):
+                want = reference_canonical(x) == reference_canonical(y)
+                assert (dl.canonical_key(x) == dl.canonical_key(y)) == want, (x, y)
+                same += want
+                differ += not want
+        assert same > 3000 and differ > 3000
+
+    def test_rotation_and_renaming_invisible(self, rng):
+        for _ in range(300):
+            d = random_diagram(rng)
+            assert dl.canonical_key(rotated_and_renamed(rng, d)) == dl.canonical_key(d)
+
+    def test_canonicalize_keeps_key_and_is_idempotent(self, rng):
+        for _ in range(300):
+            d = random_diagram(rng)
+            c = dl.canonicalize(d)
+            assert dl.canonical_key(c) == dl.canonical_key(d)
+            assert dl.canonicalize(c) == c
+            assert dl.canonicalize(rotated_and_renamed(rng, d)) == c
+
+
 class TestDegree:
     def test_one_crossing(self):
         assert dl.degree(dl.one_crossing(2, 1, 1)) == 3

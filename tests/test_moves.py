@@ -15,7 +15,10 @@ from dlknot.moves import (
     DL_PAIR_ADD,
     DL_PAIR_CANCEL,
     DL_SLIDE,
+    GROWTH,
+    R1_ADD,
     R1_REMOVE,
+    R2_ADD,
     R2_REMOVE,
     R3,
     MoveError,
@@ -94,6 +97,26 @@ class TestApply:
         with pytest.raises(MoveError, match="unknown crossing id"):
             dl.apply(dl.parse("U1+ O1+"), move)
 
+    # ``True == 1``, but a boolean is not a position, sign or crossing id.
+    @pytest.mark.parametrize(
+        "move",
+        [
+            mk(DL_PAIR_ADD, pos=True, sign=True),
+            mk(DL_PAIR_ADD, pos=0, sign=True),
+            mk(DL_PAIR_ADD, pos=False, sign=1),
+            mk(R1_ADD, pos=0, order="UO", sign=True),
+            mk(R2_ADD, pos1=0, pos2=0, role="O", eps=True),
+            mk(R1_REMOVE, pos=False),
+            mk(CROSSING_CHANGE, crossing_id=1, chirality=True),
+            mk(CROSSING_CHANGE, crossing_id=True, chirality=1),
+            mk(CROSSING_SLIDING, crossing_id=1, direction=True),
+        ],
+        ids=lambda m: m.to_line(),
+    )
+    def test_booleans_rejected(self, move):
+        with pytest.raises(MoveError):
+            dl.apply(dl.parse("U1+ O1+"), move)
+
 
 class TestEnumerate:
     def test_trivial_no_cancel(self):
@@ -149,6 +172,15 @@ class TestEnumerate:
                 assert dl.enumerate_moves(d, {kind}) == expect, (kind, dl.serialize(d))
                 hits[kind] += len(expect)
         assert all(hits[kind] for kind in self.SITE_KEYS), hits
+
+    def test_growth_is_exact(self, rng):
+        seen = set()
+        for _ in range(200):
+            d = random_diagram(rng, max_crossings=4, max_double_lines=5)
+            for m in dl.enumerate_moves(d, dl.ALL_KINDS):
+                assert len(dl.apply(d, m).tokens) - len(d.tokens) == GROWTH[m.kind], m.to_line()
+                seen.add(m.kind)
+        assert seen == set(GROWTH) == dl.ALL_KINDS
 
     def test_deterministic(self, rng):
         d = random_diagram(rng, max_crossings=4, max_double_lines=6)
