@@ -6,9 +6,9 @@ Three layers on top of the move engine:
   inserting compensating double-line pairs (with a crossing change first at
   crossings of negative parity).  Defined on degree-0 diagrams only.
 * ``eliminate_double_lines`` removes every double line from a degree-0
-  diagram whose parities all lie in {0, -1}, emitting a replayable trace
-  that uses only the crossing change, crossing sliding and pair-cancel
-  moves.
+  diagram with all parities in {0, -1} by crossing changes, crossing
+  slides to one common level of the running line-sign sum, and pair
+  cancels: at any common level each arc's lines sum to 0 (the degree is 0).
 * ``important_subsets`` / ``essential_count`` / ``essential_diagram``
   compute the important and essential double-line subsets: an important
   subset is one whose removal leaves a degree-0 diagram with all parities
@@ -109,116 +109,72 @@ class EliminationCertificate:
     result: DlDiagram
 
 
-class _Builder:
-    """Applies moves to a live diagram while recording the trace."""
-
-    def __init__(self, start: DlDiagram):
-        self.start = start
-        self.current = start
-        self.steps: list[MoveInstance] = []
-
-    def do(self, m: MoveInstance) -> None:
-        self.current = moves.apply(self.current, m)
-        self.steps.append(m)
-
-    def cancel_sweep(self) -> None:
-        """Cancel adjacent opposite-sign pairs, leftmost first, to exhaustion."""
-        while True:
-            tokens = self.current.tokens
-            n = len(tokens)
-            for pos in range(n):
-                a, b = tokens[pos], tokens[(pos + 1) % n]
-                if isinstance(a, DoubleLine) and isinstance(b, DoubleLine) and a.sign == -b.sign:
-                    if n == 2 and pos == 1:
-                        continue
-                    self.do(mk(DL_PAIR_CANCEL, pos=pos))
-                    break
-            else:
-                return
-
-    def trace(self) -> MoveTrace:
-        return MoveTrace(self.start, tuple(self.steps))
-
-
-def _arc_sum_before(d: DlDiagram, cid: int, role: str) -> int:
-    """Sum of double-line signs on the arc entering the given passage."""
-    i = d.passage_index(cid, role)
-    n = len(d.tokens)
-    total = 0
-    j = (i - 1) % n
-    while j != i:
-        t = d.tokens[j]
-        if isinstance(t, Passage):
-            break
-        total += t.sign
-        j = (j - 1) % n
-    return total
+def _cancel_steps(tokens: tuple[Token, ...]) -> list[MoveInstance]:
+    """DlPairCancel5 steps, in order, after which no two adjacent lines of
+    ``tokens`` have opposite signs: a stack pass cancels each line against
+    an opposite left neighbour, then the pairs across the end of the word
+    cancel (each end then holds lines of one sign up to its first passage)."""
+    kept: list[int] = []  # line signs, 0 for a passage
+    steps = []
+    for t in tokens:
+        v = t.sign if isinstance(t, DoubleLine) else 0
+        if kept and kept[-1] * v == -1:
+            kept.pop()
+            steps.append(mk(DL_PAIR_CANCEL, pos=len(kept)))
+        else:
+            kept.append(v)
+    while kept and kept[-1] * kept[0] == -1:
+        steps.append(mk(DL_PAIR_CANCEL, pos=len(kept) - 1))
+        kept = kept[1:-1]
+    return steps
 
 
 def eliminate_double_lines(d: DlDiagram) -> EliminationCertificate:
     """Remove all double lines from a degree-0 diagram with parities in {0,-1}.
 
-    Implements the two-step sliding walk: crossing-change every parity -1
-    crossing, then traverse the knot from a base crossing, pushing each
-    arc's accumulated double-line sum forward with crossing sliding moves
-    and cancelling pairs as they meet.  The emitted trace uses only
-    CrossingChange, CrossingSliding and DlPairCancel5 and replays to the
-    double-line-free result.
+    Crossing-changing every parity -1 crossing makes every parity 0, so
+    both passages of a crossing c sit at the same running sum s_c of line
+    signs from the start of the word: its level.  Sliding c by k - s_c
+    moves it to level k.  With every crossing at level k, the lines
+    between two passages sum to k - k = 0 and those across the end of the
+    word to (0 - k) + k = 0, as the degree is 0; so all lines cancel, for
+    any constant k.  The median level takes the fewest slides.  A cancel
+    shifts all levels alike or none, so the slides are counted once.
+
+    The trace uses only CrossingChange, CrossingSliding and DlPairCancel5
+    and replays to the double-line-free result.
     """
-    deg = degree(d)
-    if deg != 0:
-        raise ProjectionError(f"elimination needs degree 0, got {deg}")
+    if degree(d) != 0:
+        raise ProjectionError(f"elimination needs degree 0, got {degree(d)}")
     parities = _raw_parities(d)
-    for cid in d.crossing_ids:
-        if parities[cid] not in (0, -1):
-            raise ProjectionError(
-                f"crossing {cid} has winding parity {parities[cid]}, expected 0 or -1"
-            )
+    for cid, p in parities.items():
+        if p not in (0, -1):
+            raise ProjectionError(f"crossing {cid} has winding parity {p}, expected 0 or -1")
 
-    b = _Builder(d)
-    for cid in d.crossing_ids:
-        if parities[cid] == -1:
-            b.do(mk(CROSSING_CHANGE, crossing_id=cid, chirality=1))
-    b.cancel_sweep()
+    current, steps = d, []
 
-    if b.current.crossing_count == 0:
-        # No passages: remaining double lines sum to 0 and are mutually
-        # adjacent, so the sweep has already emptied them.
-        assert b.current.double_line_count == 0
-        return EliminationCertificate(b.trace(), b.current)
+    def do(batch: list[MoveInstance]) -> None:
+        nonlocal current
+        for m in batch:
+            current = moves.apply(current, m)
+        steps.extend(batch)
 
-    # Fixed passage order: the walk starts right after the Under passage of
-    # the first crossing appearing in token order.  Passages never move
-    # relative to each other during sliding and cancelling.
-    tokens = b.current.tokens
-    first_cid = next(t.crossing_id for t in tokens if isinstance(t, Passage))
-    anchor = b.current.passage_index(first_cid, UNDER)
-    n = len(tokens)
-    passage_seq: list[tuple[int, str]] = []
-    for off in range(1, n + 1):
-        t = tokens[(anchor + off) % n]
-        if isinstance(t, Passage):
-            passage_seq.append((t.crossing_id, t.role))
-    # passage_seq ends with the anchor Under passage itself.
-
-    visited = {first_cid}
-    for cid, role in passage_seq[:-1]:
-        acc = _arc_sum_before(b.current, cid, role)
-        if cid not in visited:
-            visited.add(cid)
-            while acc != 0:
-                s = -1 if acc > 0 else 1
-                b.do(mk(CROSSING_SLIDING, crossing_id=cid, direction=s))
-                b.cancel_sweep()
-                acc = _arc_sum_before(b.current, cid, role)
-        elif acc != 0:
-            raise AssertionError(
-                f"revisited crossing {cid} with dirty arc (sum {acc}); "
-                "elimination invariant violated"
-            )
-    b.cancel_sweep()
-    assert b.current.double_line_count == 0, "double lines left after elimination walk"
-    return EliminationCertificate(b.trace(), b.current)
+    do([mk(CROSSING_CHANGE, crossing_id=c, chirality=1) for c in d.crossing_ids if parities[c] == -1])
+    do(_cancel_steps(current.tokens))
+    level, s = {}, 0  # crossing id -> the running sum s at its passages
+    for t in current.tokens:
+        if isinstance(t, DoubleLine):
+            s += t.sign
+        else:
+            assert level.setdefault(t.crossing_id, s) == s, f"crossing {t.crossing_id}: two levels"
+    k = sorted(level.values())[len(level) // 2] if level else 0
+    for cid, s_c in sorted(level.items()):
+        if s_c != k:
+            slide = mk(CROSSING_SLIDING, crossing_id=cid, direction=1 if k > s_c else -1)
+            do([slide] * abs(k - s_c))
+            do(_cancel_steps(current.tokens))
+    assert current.double_line_count == 0, "double lines left after elimination"
+    return EliminationCertificate(MoveTrace(d, tuple(steps)), current)
 
 
 @dataclass(frozen=True)
@@ -290,8 +246,10 @@ def important_subsets(d: DlDiagram, limit: int | None = None) -> list[EssentialR
     """All important double-line subsets, sorted by cardinality.
 
     The full double-line set is always important, so the list is never
-    empty.  ``limit`` caps the number of reports returned.
+    empty.  ``limit``, at least 1, caps the number of reports returned.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     raw, holds = _raw_parities(d), _line_crossings(d)
     reports: list[EssentialReport] = []
     kmin: int | None = None

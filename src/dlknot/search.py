@@ -42,6 +42,8 @@ def bfs_search(
     checks.  The essential count is not one: an R2Add can change it.
     Deterministic for fixed parameters.
     """
+    if max_moves < 0 or max_len < 0:
+        raise ValueError(f"bounds must be non-negative: max_moves={max_moves}, max_len={max_len}")
     if check_invariants and degree(start) != degree(target):
         return SearchResult(False, None, 0, max_moves, max_len)
 

@@ -142,6 +142,21 @@ class TestSearchAndApply:
         code, _, err = run(capsys, "search", "U1+ O1+", "U1+ O1+", "--kinds", "Nope")
         assert code == 2 and "unknown move kinds" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["essential", "U1+ D+ O1+ D-", "--limit", "0"], "limit must be at least 1"),
+            (["essential", "U1+ D+ O1+ D-", "--limit", "-3"], "limit must be at least 1"),
+            (["search", "U1+ O1+", "U1+ O1+", "--max-moves", "-1"], "max_moves=-1"),
+            (["search", "U1+ O1+", "D+ D-", "--max-len", "-1"], "max_len=-1"),
+        ],
+        ids=["limit-zero", "limit-negative", "max-moves-negative", "max-len-negative"],
+    )
+    def test_bad_bounds(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
     def test_apply(self, capsys):
         code, out, _ = run(
             capsys, "apply", "U1+ O1+", "CrossingSliding crossing_id=1 direction=1"

@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 import dlknot as dl
-from dlknot.diagram import DoubleLine
-from dlknot.moves import CROSSING_CHANGE, CROSSING_SLIDING, DL_PAIR_CANCEL, mk
+from dlknot.diagram import DoubleLine, Passage
+from dlknot.moves import CROSSING_CHANGE, CROSSING_SLIDING, DL_PAIR_ADD, DL_PAIR_CANCEL, mk
 from dlknot.projection import ProjectionError
 
 from conftest import random_degree_zero, random_diagram
@@ -20,6 +20,26 @@ def _force_parities(d, rng):
         if rng.random() < 0.5:
             out = dl.apply(out, mk(CROSSING_CHANGE, crossing_id=cid, chirality=1))
     return out
+
+
+def _eliminable(rng):
+    """A degree-0 word with every parity in {0, -1}: a random passage word
+    (possibly without crossings), normalized, with random crossing changes,
+    crossing slides and pair insertions, then rotated so that lines can
+    wrap the end of the word."""
+    d = _force_parities(random_degree_zero(rng, 6, 0), rng)
+    for cid in d.crossing_ids:
+        for _ in range(rng.randint(0, 2)):
+            d = dl.apply(d, mk(CROSSING_SLIDING, crossing_id=cid, direction=rng.choice([1, -1])))
+    for _ in range(rng.randint(0, 3)):
+        d = dl.apply(d, mk(DL_PAIR_ADD, pos=rng.randint(0, len(d.tokens)), sign=rng.choice([1, -1])))
+    r = rng.randrange(max(len(d.tokens), 1))
+    return dl.DlDiagram(d.tokens[r:] + d.tokens[:r])
+
+
+def _eliminable_words(rng):
+    fixed = ["D+ D+ D- D-", "D- D+", "D- U1+ O1+ D+", "D- U1+ D- O1+ D+ D+", "O1+ D+ U1+ D-"]
+    return [dl.parse(w) for w in fixed] + [_eliminable(rng) for _ in range(300)]
 
 
 class TestParityProjection:
@@ -89,6 +109,40 @@ class TestElimination:
     def test_rejects_nonzero_degree(self):
         with pytest.raises(ProjectionError):
             dl.eliminate_double_lines(dl.parse("U1+ D+ O1+"))
+
+    def test_result_is_the_changed_passage_word(self, rng):
+        # Token for token: the passages in place, each parity -1 crossing
+        # with its roles swapped and its sign negated.
+        for d in _eliminable_words(rng):
+            flip = {c for c in d.crossing_ids if dl.raw_winding_sum(d, c) == -1}
+            expect = tuple(
+                Passage(t.crossing_id, "U" if t.role == "O" else "O", -t.sign)
+                if t.crossing_id in flip
+                else t
+                for t in d.tokens
+                if isinstance(t, Passage)
+            )
+            cert = dl.eliminate_double_lines(d)
+            assert cert.result.tokens == expect, dl.serialize(d)
+            assert dl.replay(cert.trace) == cert.result
+            assert cert.trace.start == d
+
+    def test_slides_are_fewest_over_levels(self, rng):
+        # A crossing's level is the running line sum at its Under passage
+        # (equal to the sum at its Over passage after the crossing change);
+        # sliding every crossing to one common level k takes sum |s_c - k|
+        # slides, least at some level of a crossing.
+        for d in _eliminable_words(rng):
+            levels, s = [], 0
+            for t in d.tokens:
+                if isinstance(t, DoubleLine):
+                    s += t.sign
+                elif t.role == "U":
+                    levels.append(s)
+            fewest = min((sum(abs(v - k) for v in levels) for k in levels), default=0)
+            steps = dl.eliminate_double_lines(d).trace.steps
+            assert sum(m.kind == CROSSING_SLIDING for m in steps) == fewest, dl.serialize(d)
+            assert {m.kind for m in steps} <= {CROSSING_CHANGE, CROSSING_SLIDING, DL_PAIR_CANCEL}
 
     def test_random_projected_diagrams(self, rng):
         for _ in range(100):
@@ -166,6 +220,10 @@ class TestImportantSubsets:
     def test_limit_caps_output(self):
         d = dl.one_crossing(-2, 2, 1)
         assert len(dl.important_subsets(d, limit=3)) <= 3
+        assert len(dl.important_subsets(d, limit=1)) == 1
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="limit must be at least 1"):
+                dl.important_subsets(d, limit=bad)
 
 
 class TestEssentialCount:

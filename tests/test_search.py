@@ -48,3 +48,9 @@ def test_start_over_length_bound():
 def test_unknown_kind():
     with pytest.raises(MoveError, match="unknown move kind"):
         search("U1+ O1+", "D+ D-", max_moves=1, max_len=2, kinds={"Nope"}, check_invariants=False)
+
+
+@pytest.mark.parametrize("bounds", [{"max_moves": -1}, {"max_len": -1}])
+def test_negative_bounds(bounds):
+    with pytest.raises(ValueError, match="bounds must be non-negative"):
+        search("U1+ O1+", "U1+ O1+", **bounds)
