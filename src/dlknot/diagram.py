@@ -228,38 +228,46 @@ class WindingParity:
             raise DiagramError("value out of range for modulus")
 
 
-def winding_interval(d: DlDiagram, crossing_id: int) -> list[int]:
-    """Positions strictly between the Under and the Over passage of
-    ``crossing_id``, following the traversal from the Under side."""
-    n = len(d.tokens)
-    u = d.passage_index(crossing_id, UNDER)
-    o = d.passage_index(crossing_id, OVER)
-    return [i % n for i in range(u + 1, o if o > u else o + n)]
+def winding_sums(d: DlDiagram) -> dict[int, int]:
+    """Every crossing's raw winding sum, by crossing id in id order, from one
+    pass: with s the running sum of line signs, it is s at the Over passage
+    less s at the Under passage, plus the degree (the last s) when the Over
+    passage comes first, as the interval then wraps the end of the word."""
+    sums: dict[int, int] = {}
+    over_first, s = [], 0
+    for t in d.tokens:
+        if isinstance(t, DoubleLine):
+            s += t.sign
+            continue
+        if t.role == OVER and t.crossing_id not in sums:
+            over_first.append(t.crossing_id)
+        sums[t.crossing_id] = sums.get(t.crossing_id, 0) + (s if t.role == OVER else -s)
+    for cid in over_first:
+        sums[cid] += s
+    return dict(sorted(sums.items()))
 
 
 def raw_winding_sum(d: DlDiagram, crossing_id: int) -> int:
     """Integer sum of the double-line signs in the winding interval."""
-    tokens = d.tokens
-    return sum(
-        tokens[i].sign
-        for i in winding_interval(d, crossing_id)
-        if isinstance(tokens[i], DoubleLine)
-    )
+    sums = winding_sums(d)
+    if crossing_id not in sums:
+        raise DiagramError(f"no crossing {crossing_id} in diagram")
+    return sums[crossing_id]
+
+
+def _parity(raw: int, deg: int) -> WindingParity:
+    return WindingParity(raw % abs(deg) if deg else raw, abs(deg))
 
 
 def winding_parity(d: DlDiagram, crossing_id: int) -> WindingParity:
     """The winding parity of a crossing, valued in Z_{|degree|} (Z if degree 0)."""
-    raw = raw_winding_sum(d, crossing_id)
-    deg = degree(d)
-    if deg == 0:
-        return WindingParity(raw, 0)
-    m = abs(deg)
-    return WindingParity(raw % m, m)
+    return _parity(raw_winding_sum(d, crossing_id), degree(d))
 
 
 def parity_profile(d: DlDiagram) -> tuple[WindingParity, ...]:
     """Multiset (as a sorted tuple) of winding parities over all crossings."""
-    return tuple(sorted(winding_parity(d, cid) for cid in d.crossing_ids))
+    deg = degree(d)
+    return tuple(sorted(_parity(v, deg) for v in winding_sums(d).values()))
 
 
 def parity_record(d: DlDiagram) -> list[dict]:

@@ -21,9 +21,9 @@ from .diagram import (
     Passage,
     degree,
     parity_record,
-    raw_winding_sum,
     read_tokens,
     token_to_text,
+    winding_sums,
 )
 from .projection import (
     EliminationCertificate,
@@ -120,8 +120,7 @@ def separability_check(l: SewedLink) -> SeparabilityVerdict:
     deg = degree(d)
     if deg != 0:
         return SeparabilityVerdict(False, None, Obstruction(None, deg))
-    for cid in d.crossing_ids:
-        p = raw_winding_sum(d, cid)
+    for cid, p in winding_sums(d).items():
         if p not in (0, -1):
             return SeparabilityVerdict(False, None, Obstruction(cid, p))
     cert = eliminate_double_lines(d)

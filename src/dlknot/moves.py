@@ -48,20 +48,21 @@ DL_PAIR_CANCEL = "DlPairCancel5"
 CROSSING_CHANGE = "CrossingChange"
 CROSSING_SLIDING = "CrossingSliding"
 
-ALL_KINDS = frozenset(
-    {
-        R1_ADD,
-        R1_REMOVE,
-        R2_ADD,
-        R2_REMOVE,
-        R3,
-        DL_SLIDE,
-        DL_PAIR_ADD,
-        DL_PAIR_CANCEL,
-        CROSSING_CHANGE,
-        CROSSING_SLIDING,
-    }
-)
+# The parameters of each kind, in the order a move line writes them.
+# CrossingChange's chirality may be left out; it defaults to 1.
+PARAMS = {
+    R1_ADD: ("order", "pos", "sign"),
+    R1_REMOVE: ("pos",),
+    R2_ADD: ("eps", "pos1", "pos2", "role"),
+    R2_REMOVE: ("pos1", "pos2"),
+    R3: ("pos1", "pos2", "pos3"),
+    DL_SLIDE: ("pos",),
+    DL_PAIR_ADD: ("pos", "sign"),
+    DL_PAIR_CANCEL: ("pos",),
+    CROSSING_CHANGE: ("chirality", "crossing_id"),
+    CROSSING_SLIDING: ("crossing_id", "direction"),
+}
+ALL_KINDS = frozenset(PARAMS)
 
 # The number of tokens each kind adds to the word, exact for every instance.
 GROWTH = {
@@ -77,16 +78,10 @@ GROWTH = {
     R3: 0,
 }
 
-# The site parameters of the pattern moves, and those of them that swap
-# the tokens of each site instead of deleting them.
-_SITE_KEYS = {
-    R1_REMOVE: ("pos",),
-    DL_SLIDE: ("pos",),
-    DL_PAIR_CANCEL: ("pos",),
-    R2_REMOVE: ("pos1", "pos2"),
-    R3: ("pos1", "pos2", "pos3"),
-}
+# The pattern moves, whose parameters all name sites, and those of them
+# that swap the tokens of each site instead of deleting them.
 _SWAP_KINDS = frozenset({DL_SLIDE, R3})
+_SITE_KINDS = _SWAP_KINDS | {R1_REMOVE, R2_REMOVE, DL_PAIR_CANCEL}
 
 
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -128,11 +123,25 @@ class MoveInstance:
             # Only the spelling to_line writes: int() would also read
             # "+1", "1_0" and non-ASCII digits.
             params[k] = int(v) if _INT_RE.fullmatch(v) else v
-        return mk(words[0], **params)
+        return _read_move(words[0], params)
 
 
 def mk(kind: str, /, **params: int | str) -> MoveInstance:
     return MoveInstance(kind, tuple(sorted(params.items())))
+
+
+def _read_move(kind: str, params: dict) -> MoveInstance:
+    """A move read from a trace, with only parameters its kind takes.  A
+    missing one is named first, as ``apply`` names it; an unknown kind is
+    left to ``apply``."""
+    m = mk(kind, **params)
+    extra = params.keys() - PARAMS.get(kind, params)
+    if extra:
+        for k in PARAMS[kind]:
+            if k != "chirality":
+                m[k]  # raises MoveError if k is missing
+        raise MoveError(f"{kind} takes no parameter {min(extra)!r}")
+    return m
 
 
 def _fresh_id(tokens: tuple[Token, ...]) -> int:
@@ -162,9 +171,8 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
     tokens = d.tokens
     n = len(tokens)
 
-    keys = _SITE_KEYS.get(m.kind)
-    if keys:
-        sites = [_check_pos(m, k, n) for k in keys]
+    if m.kind in _SITE_KINDS:
+        sites = [_check_pos(m, k, n) for k in PARAMS[m.kind]]
         why = _site_error(tokens, m.kind, sites)
         if why:
             raise MoveError(f"{m.kind}: {why}")
@@ -268,7 +276,7 @@ def _map_crossing(d: DlDiagram, cid: int, f) -> DlDiagram:
 
 def _site_error(tokens: tuple[Token, ...], kind: str, sites: Sequence[int]) -> str | None:
     """Why the pairs at ``sites`` (positions in range) do not form the
-    pattern of the move ``kind``, one of the five in ``_SITE_KEYS``; None
+    pattern of the move ``kind``, one of the five in ``_SITE_KINDS``; None
     when they do.  The cheap token tests come before the set that tells
     whether the pairs overlap."""
     n = len(tokens)
@@ -521,7 +529,7 @@ class MoveTrace:
             raise MoveError("trace JSON parameter values must be integers or text")
         return cls(
             _read_start(data.get("start")),
-            tuple(mk(s["kind"], **s["params"]) for s in steps),
+            tuple(_read_move(s["kind"], s["params"]) for s in steps),
         )
 
 

@@ -29,14 +29,14 @@ from dataclasses import dataclass
 
 from . import moves
 from .diagram import (
+    OVER,
     UNDER,
     DlDiagram,
     DoubleLine,
     Passage,
     Token,
     degree,
-    raw_winding_sum,
-    winding_interval,
+    winding_sums,
 )
 from .moves import (
     CROSSING_CHANGE,
@@ -52,21 +52,22 @@ class ProjectionError(ValueError):
     """Raised when a projection precondition fails."""
 
 
-def _raw_parities(d: DlDiagram) -> dict[int, int]:
-    return {cid: raw_winding_sum(d, cid) for cid in d.crossing_ids}
-
-
 def _line_crossings(d: DlDiagram) -> dict[int, list[int]]:
     """Each double line's position, mapped to the crossings (in id order)
-    whose winding interval holds it."""
-    holds: dict[int, list[int]] = {
-        i: [] for i, t in enumerate(d.tokens) if isinstance(t, DoubleLine)
-    }
-    for cid in d.crossing_ids:
-        for i in winding_interval(d, cid):
-            if i in holds:
-                holds[i].append(cid)
-    return holds
+    whose winding interval holds it, from one walk: a line lies between the
+    two passages of a crossing iff the interval holds it, unless the Over
+    passage comes first, when the interval is the rest of the word."""
+    between: set[int] = set()
+    over_first: set[int] = set()
+    walk = []
+    for i, t in enumerate(d.tokens):
+        if isinstance(t, DoubleLine):
+            walk.append((i, frozenset(between)))
+            continue
+        if t.role == OVER and t.crossing_id not in between:
+            over_first.add(t.crossing_id)
+        between ^= {t.crossing_id}
+    return {i: sorted(inside ^ over_first) for i, inside in walk}
 
 
 def parity_projection(d: DlDiagram) -> DlDiagram:
@@ -79,7 +80,7 @@ def parity_projection(d: DlDiagram) -> DlDiagram:
     """
     if degree(d) != 0:
         raise ProjectionError(f"parity projection needs degree 0, got {degree(d)}")
-    parities = _raw_parities(d)
+    parities = winding_sums(d)
     out: list[Token] = []
     for t in d.tokens:
         if not isinstance(t, Passage):
@@ -146,7 +147,7 @@ def eliminate_double_lines(d: DlDiagram) -> EliminationCertificate:
     """
     if degree(d) != 0:
         raise ProjectionError(f"elimination needs degree 0, got {degree(d)}")
-    parities = _raw_parities(d)
+    parities = winding_sums(d)
     for cid, p in parities.items():
         if p not in (0, -1):
             raise ProjectionError(f"crossing {cid} has winding parity {p}, expected 0 or -1")
@@ -195,33 +196,19 @@ class EssentialReport:
         }
 
 
-def _double_positions(d: DlDiagram) -> list[int]:
-    return [i for i, t in enumerate(d.tokens) if isinstance(t, DoubleLine)]
-
-
-def _delete_positions(d: DlDiagram, subset: tuple[int, ...]) -> DlDiagram:
-    drop = set(subset)
-    return DlDiagram(tuple(t for i, t in enumerate(d.tokens) if i not in drop))
-
-
-def _subsets_of_size(d: DlDiagram, k: int):
-    """Subsets of k double-line positions whose sign sum is the degree, in
-    lexicographic order of the merged position tuple."""
-    deg = degree(d)
-    plus = [i for i in _double_positions(d) if d.tokens[i].sign > 0]
-    minus = [i for i in _double_positions(d) if d.tokens[i].sign < 0]
-    if (k + deg) % 2 != 0:
-        return
-    p_cnt = (k + deg) // 2
-    m_cnt = k - p_cnt
-    if not (0 <= p_cnt <= len(plus) and 0 <= m_cnt <= len(minus)):
-        return
-    merged = []
-    for ps in itertools.combinations(plus, p_cnt):
-        for ms in itertools.combinations(minus, m_cnt):
-            merged.append(tuple(sorted(ps + ms)))
-    merged.sort()
-    yield from merged
+def _subsets_of_size(d: DlDiagram, lines, k: int) -> list[tuple[int, ...]]:
+    """Subsets of k of the double-line positions ``lines`` (all of them)
+    whose sign sum is the degree, in lexicographic order."""
+    plus = [i for i in lines if d.tokens[i].sign > 0]
+    minus = [i for i in lines if d.tokens[i].sign < 0]
+    p_cnt, odd = divmod(k + len(plus) - len(minus), 2)
+    if odd or not 0 <= p_cnt <= k:
+        return []
+    return sorted(
+        tuple(sorted(ps + ms))
+        for ps in itertools.combinations(plus, p_cnt)
+        for ms in itertools.combinations(minus, k - p_cnt)
+    )
 
 
 def _important_of_size(d: DlDiagram, k: int, raw: dict[int, int], holds: dict[int, list[int]]):
@@ -233,7 +220,7 @@ def _important_of_size(d: DlDiagram, k: int, raw: dict[int, int], holds: dict[in
     already remove exactly the degree.
     """
     tokens = d.tokens
-    for subset in _subsets_of_size(d, k):
+    for subset in _subsets_of_size(d, holds, k):
         residual = dict(raw)
         for i in subset:
             for cid in holds[i]:
@@ -250,15 +237,13 @@ def important_subsets(d: DlDiagram, limit: int | None = None) -> list[EssentialR
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    raw, holds = _raw_parities(d), _line_crossings(d)
+    raw, holds = winding_sums(d), _line_crossings(d)
     reports: list[EssentialReport] = []
-    kmin: int | None = None
     for k in range(len(holds) + 1):
         for subset, residual in _important_of_size(d, k, raw, holds):
-            if kmin is None:
-                kmin = k
             vals = tuple(sorted(residual.values()))
-            reports.append(EssentialReport(subset, k, vals, k == kmin))
+            essential = not reports or k == reports[0].cardinality
+            reports.append(EssentialReport(subset, k, vals, essential))
             if limit is not None and len(reports) >= limit:
                 return reports
     return reports
@@ -272,72 +257,49 @@ def essential_count(d: DlDiagram) -> int:
     """
     deg = degree(d)
     holds = _line_crossings(d)
-    cids = d.crossing_ids
+    raw = winding_sums(d)
+    # Row 0 is the whole word, row r >= 1 the winding interval of the r-th
+    # crossing c.  Removing a subset must remove the degree from row 0 and
+    # raw[c] or raw[c] + 1 from c's row, leaving parity 0 or -1.
+    targets = [(deg, deg)] + [(v, v + 1) for v in raw.values()]
+    row = {cid: r for r, cid in enumerate(raw, 1)}
     classes = Counter((tuple(members), d.tokens[i].sign) for i, members in holds.items())
-    class_list = sorted(
-        classes.items(), key=lambda item: (-item[1], item[0][0], item[0][1])
-    )
-    raw = _raw_parities(d)
-    # Removing a subset S leaves parity raw[c] - sum(S within gamma_c), which
-    # must land in {0, -1}; the removed total must equal the degree.
-    targets = {cid: (raw[cid], raw[cid] + 1) for cid in cids}
+    class_rows = [
+        (sign, size, [0] + [row[c] for c in members])
+        for (members, sign), size in sorted(classes.items(), key=lambda it: (-it[1], it[0]))
+    ]
+    # Suffix capacity per row: the +/- weight that classes i.. can remove.
+    suf = [([0] * len(targets), [0] * len(targets))]
+    for sign, size, rows in reversed(class_rows):
+        plus, minus = suf[-1][0][:], suf[-1][1][:]
+        for r in rows:
+            (plus if sign > 0 else minus)[r] += size
+        suf.append((plus, minus))
+    suf.reverse()
+    cur = [0] * len(targets)
 
-    ncls = len(class_list)
-    # Suffix capacity per crossing: how much +/- weight remains from class i on.
-    suf_plus = [[0] * len(cids) for _ in range(ncls + 1)]
-    suf_minus = [[0] * len(cids) for _ in range(ncls + 1)]
-    suf_plus_all = [0] * (ncls + 1)
-    suf_minus_all = [0] * (ncls + 1)
-    cid_index = {cid: ix for ix, cid in enumerate(cids)}
-    for i in range(ncls - 1, -1, -1):
-        (members, sign), size = class_list[i]
-        suf_plus[i] = suf_plus[i + 1][:]
-        suf_minus[i] = suf_minus[i + 1][:]
-        suf_plus_all[i] = suf_plus_all[i + 1]
-        suf_minus_all[i] = suf_minus_all[i + 1]
-        side, side_all = (suf_plus, suf_plus_all) if sign > 0 else (suf_minus, suf_minus_all)
-        for cid in members:
-            side[i][cid_index[cid]] += size
-        side_all[i] += size
-
-    def feasible(k: int) -> bool:
-        # DFS over per-class removal counts with interval pruning.
-        cur = [0] * len(cids)
-
-        def rec(i: int, remaining: int, total_sign: int) -> bool:
-            # Prune per crossing and on the global sign sum.
-            for ix in range(len(cids)):
-                lo = cur[ix] - min(suf_minus[i][ix], remaining)
-                hi = cur[ix] + min(suf_plus[i][ix], remaining)
-                t0, t1 = targets[cids[ix]]
-                if hi < t0 or lo > t1:
-                    return False
-            lo = total_sign - min(suf_minus_all[i], remaining)
-            hi = total_sign + min(suf_plus_all[i], remaining)
-            if not lo <= deg <= hi:
+    def rec(i: int, remaining: int) -> bool:
+        # DFS over per-class removal counts, pruned per row.
+        plus, minus = suf[i]
+        for c, p, m, (t0, t1) in zip(cur, plus, minus, targets):
+            if c + min(p, remaining) < t0 or c - min(m, remaining) > t1:
                 return False
-            if i == ncls:
-                # No capacity is left, so the checks above were exact.
-                return remaining == 0
-            (members, sign), size = class_list[i]
-            idxs = [cid_index[c] for c in members]
-            for x in range(min(size, remaining), -1, -1):
-                for ix in idxs:
-                    cur[ix] += sign * x
-                if rec(i + 1, remaining - x, total_sign + sign * x):
-                    return True
-                for ix in idxs:
-                    cur[ix] -= sign * x
-            return False
+        if i == len(class_rows):
+            # No capacity is left, so the checks above were exact.
+            return remaining == 0
+        sign, size, rows = class_rows[i]
+        for x in range(min(size, remaining), -1, -1):
+            for r in rows:
+                cur[r] += sign * x
+            if rec(i + 1, remaining - x):
+                return True
+            for r in rows:
+                cur[r] -= sign * x
+        return False
 
-        return rec(0, k, 0)
-
-    # A subset removing the degree has the degree's parity and at least |deg| lines.
-    for k in range(abs(deg), len(holds) + 1, 2):
-        if feasible(k):
-            return k
-    # The full set is always important.
-    return len(holds)
+    # A subset removing the degree has the degree's parity and at least
+    # |deg| lines; the full set is always important, so some k fits.
+    return next(k for k in range(abs(deg), len(holds) + 1, 2) if rec(0, k))
 
 
 def essential_diagram(d: DlDiagram) -> tuple[DlDiagram, MoveTrace]:
@@ -348,10 +310,11 @@ def essential_diagram(d: DlDiagram) -> tuple[DlDiagram, MoveTrace]:
     that the non-essential double lines can be removed.
     """
     essential, residual = next(
-        _important_of_size(d, essential_count(d), _raw_parities(d), _line_crossings(d))
+        _important_of_size(d, essential_count(d), winding_sums(d), _line_crossings(d))
     )
-    cert = eliminate_double_lines(_delete_positions(d, essential))
     keep = set(essential)
+    rest = DlDiagram(tuple(t for i, t in enumerate(d.tokens) if i not in keep))
+    cert = eliminate_double_lines(rest)
     out: list[Token] = []
     for i, t in enumerate(d.tokens):
         if isinstance(t, DoubleLine):

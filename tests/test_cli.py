@@ -180,6 +180,9 @@ class TestSearchAndApply:
             ("U1+ O1+", "DlPairAdd5 pos=\u0663 sign=1", "out of range"),
             ("U1+ O1+", "DlPairAdd5 pos=0 sign=+1", "bad DlPairAdd5 sign"),
             ("U1+ O1+", "DlPairAdd5 pos=0 sign=1_0", "bad DlPairAdd5 sign"),
+            ("U1+ O1+", "DlPairAdd5 pos=0 sign=1 foo=3", "takes no parameter 'foo'"),
+            ("U1+ O1+", "DlPairAdd5 =3 pos=0 sign=1", "takes no parameter ''"),
+            ("U1+ O1+", "R1Remove pos=0 order=UO", "takes no parameter 'order'"),
         ],
         ids=[
             "missing-parameter",
@@ -195,6 +198,9 @@ class TestSearchAndApply:
             "arabic-indic-position",
             "plus-sign",
             "underscore-sign",
+            "extra-parameter",
+            "empty-parameter-name",
+            "parameter-of-another-kind",
         ],
     )
     def test_apply_bad_move(self, capsys, diagram, move, message):
@@ -228,6 +234,8 @@ class TestSearchAndApply:
              "integers or text"),
             ('{"start": "U1+ O1+", "steps": [{"kind": "R1Add", "params": {"pos": 0, "order": "UO", "sign": -1.0}}]}',
              "integers or text"),
+            ('{"start": "U1+ O1+", "steps": [{"kind": "R1Remove", "params": {"pos": 0, "order": "UO"}}]}',
+             "takes no parameter 'order'"),
         ],
         ids=[
             "empty-object",
@@ -247,6 +255,7 @@ class TestSearchAndApply:
             "float-sign",
             "float-crossing-id",
             "float-sign-into-diagram",
+            "parameter-of-another-kind",
         ],
     )
     def test_replay_bad_file(self, capsys, tmp_path, content, message):

@@ -148,6 +148,21 @@ class TestDegree:
         assert dl.degree(dl.parse("D+ D+ D-")) == 1
 
 
+def walked_sum(d, cid, start):
+    """The double-line signs met walking the cyclic word from the ``start``
+    passage ("U" or "O") of crossing ``cid`` to its other passage."""
+    n = len(d.tokens)
+    i = d.passage_index(cid, start)
+    total = 0
+    while True:
+        i = (i + 1) % n
+        t = d.tokens[i]
+        if isinstance(t, Passage) and t.crossing_id == cid:
+            return total
+        if isinstance(t, DoubleLine):
+            total += t.sign
+
+
 class TestWindingParity:
     def test_one_crossing_block(self):
         p = dl.winding_parity(dl.one_crossing(2, 1, 1), 1)
@@ -175,16 +190,24 @@ class TestWindingParity:
                 for cid in d.crossing_ids:
                     assert dl.winding_parity(rot, cid) == dl.winding_parity(d, cid)
 
+    def test_raw_sum_is_the_walk_from_under(self, rng):
+        # The definition: the lines met from the Under to the Over passage.
+        over_first = no_lines = 0
+        for _ in range(500):
+            d = random_diagram(rng)
+            no_lines += d.double_line_count == 0
+            for cid in d.crossing_ids:
+                over_first += d.passage_index(cid, "O") < d.passage_index(cid, "U")
+                assert dl.raw_winding_sum(d, cid) == walked_sum(d, cid, "U"), dl.serialize(d)
+        assert over_first and no_lines
+
     def test_degree_zero_complement_identity(self, rng):
         # For degree 0 the total sign sum vanishes, so the half starting at
         # the Under passage carries minus the sum of the other half.
-        from dlknot.diagram import raw_winding_sum
         for _ in range(30):
             d = random_diagram(rng, degree_zero=True)
             for cid in d.crossing_ids:
-                inside = raw_winding_sum(d, cid)
-                total = dl.degree(d)
-                assert total - inside == -inside
+                assert walked_sum(d, cid, "O") == -dl.raw_winding_sum(d, cid)
 
     def test_residues_normalized(self, rng):
         for _ in range(30):

@@ -233,8 +233,9 @@ class TestEssentialCount:
         assert dl.essential_count(dl.parse("")) == 0
 
     def test_matches_bruteforce_reports(self, rng):
-        for _ in range(20):
-            d = random_degree_zero(rng, 3, 6)
+        inputs = [random_degree_zero(rng, 3, 6) for _ in range(20)]
+        inputs += [random_diagram(rng, 5, 10) for _ in range(100)]
+        for d in inputs:
             reports = dl.important_subsets(d)
             assert dl.essential_count(d) == min(r.cardinality for r in reports)
 
