@@ -183,6 +183,8 @@ def _parse_kinds(text: str | None) -> frozenset[str]:
 
 
 def cmd_search(args) -> int:
+    if args.src == args.dst == "-":
+        raise DiagramError("only one of src and dst can be read from stdin ('-')")
     src = parse(_read_arg(args.src))
     dst = parse(_read_arg(args.dst))
     result = search.bfs_search(

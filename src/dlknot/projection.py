@@ -13,19 +13,22 @@ Three layers on top of the move engine:
   compute the important and essential double-line subsets: an important
   subset is one whose removal leaves a degree-0 diagram with all parities
   in {0, -1}; an essential subset is an important subset of minimal size.
-  The minimal size is unchanged by R1Add, R1Remove and R3, and by an R2Add
-  or R2Remove whose new or removed crossings have a winding interval
-  holding no double line or every double line.  It is not invariant under
-  the whole move set: an R2Add whose crossings wind around part of the
-  lines can raise it (``D- D- D- D+ D+ D+``, count 0, becomes
+  ``essential_count`` alone finds that size; ``important_subsets`` lists
+  subsets from it up, by cardinality and then lexicographically, and
+  ``essential_diagram`` keeps the first.  The minimal size is unchanged by
+  R1Add, R1Remove and R3, and by an R2Add or R2Remove whose new or removed
+  crossings have a winding interval holding no double line or every
+  double line.  It is not invariant under the whole move set: an R2Add
+  whose crossings wind around part of the lines can raise it
+  (``D- D- D- D+ D+ D+``, count 0, becomes
   ``O1- O2+ D- D- D- U2+ U1- D+ D+ D+``, count 6).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import moves
 from .diagram import (
@@ -196,56 +199,34 @@ class EssentialReport:
         }
 
 
-def _subsets_of_size(d: DlDiagram, lines, k: int) -> list[tuple[int, ...]]:
-    """Subsets of k of the double-line positions ``lines`` (all of them)
-    whose sign sum is the degree, in lexicographic order."""
-    plus = [i for i in lines if d.tokens[i].sign > 0]
-    minus = [i for i in lines if d.tokens[i].sign < 0]
-    p_cnt, odd = divmod(k + len(plus) - len(minus), 2)
-    if odd or not 0 <= p_cnt <= k:
-        return []
-    return sorted(
-        tuple(sorted(ps + ms))
-        for ps in itertools.combinations(plus, p_cnt)
-        for ms in itertools.combinations(minus, k - p_cnt)
-    )
-
-
-def _important_of_size(d: DlDiagram, k: int, raw: dict[int, int], holds: dict[int, list[int]]):
-    """The important subsets of k double lines, in lexicographic order, each
-    with the residual winding sum of every crossing.
-
-    Removing lines moves no passage, so a crossing's residual sum is its raw
-    sum less the signs of the removed lines in its interval; the subsets
-    already remove exactly the degree.
-    """
-    tokens = d.tokens
-    for subset in _subsets_of_size(d, holds, k):
-        residual = dict(raw)
-        for i in subset:
-            for cid in holds[i]:
-                residual[cid] -= tokens[i].sign
-        if all(v in (0, -1) for v in residual.values()):
-            yield subset, residual
-
-
 def important_subsets(d: DlDiagram, limit: int | None = None) -> list[EssentialReport]:
-    """All important double-line subsets, sorted by cardinality.
-
-    The full double-line set is always important, so the list is never
-    empty.  ``limit``, at least 1, caps the number of reports returned.
+    """All important double-line subsets, by cardinality and then in
+    lexicographic order, from the essential count up: no smaller subset is
+    important, and the full set always is.  ``limit``, at least 1, caps the
+    reports.  Removing lines moves no passage, so a crossing's residual sum
+    is its raw sum less the signs of the removed lines in its interval.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     raw, holds = winding_sums(d), _line_crossings(d)
+    signs = [d.tokens[i].sign for i in holds]
+    kmin, deg = _essential_count(d, raw, holds), sum(signs)
     reports: list[EssentialReport] = []
-    for k in range(len(holds) + 1):
-        for subset, residual in _important_of_size(d, k, raw, holds):
-            vals = tuple(sorted(residual.values()))
-            essential = not reports or k == reports[0].cardinality
-            reports.append(EssentialReport(subset, k, vals, essential))
-            if limit is not None and len(reports) >= limit:
-                return reports
+    # Sizes keep the degree's parity, as kmin does; subsets of line
+    # positions come in lexicographic order, each with its signs.
+    for k in range(kmin, len(holds) + 1, 2):
+        for subset, sub_signs in zip(combinations(holds, k), combinations(signs, k)):
+            if sum(sub_signs) != deg:
+                continue
+            residual = dict(raw)
+            for i, sign in zip(subset, sub_signs):
+                for cid in holds[i]:
+                    residual[cid] -= sign
+            if all(v in (0, -1) for v in residual.values()):
+                vals = tuple(sorted(residual.values()))
+                reports.append(EssentialReport(subset, k, vals, k == kmin))
+                if limit is not None and len(reports) >= limit:
+                    return reports
     return reports
 
 
@@ -255,9 +236,11 @@ def essential_count(d: DlDiagram) -> int:
     Interchangeable double lines (same sign, same set of winding intervals)
     are grouped into classes, so block-shaped diagrams stay cheap.
     """
+    return _essential_count(d, winding_sums(d), _line_crossings(d))
+
+
+def _essential_count(d: DlDiagram, raw: dict[int, int], holds: dict[int, list[int]]) -> int:
     deg = degree(d)
-    holds = _line_crossings(d)
-    raw = winding_sums(d)
     # Row 0 is the whole word, row r >= 1 the winding interval of the r-th
     # crossing c.  Removing a subset must remove the degree from row 0 and
     # raw[c] or raw[c] + 1 from c's row, leaving parity 0 or -1.
@@ -279,14 +262,15 @@ def essential_count(d: DlDiagram) -> int:
     cur = [0] * len(targets)
 
     def rec(i: int, remaining: int) -> bool:
-        # DFS over per-class removal counts, pruned per row.
+        # DFS over per-class counts; c must reach [t0, t1] within p/m and remaining.
         plus, minus = suf[i]
         for c, p, m, (t0, t1) in zip(cur, plus, minus, targets):
-            if c + min(p, remaining) < t0 or c - min(m, remaining) > t1:
+            if c + p < t0 or c - m > t1 or c + remaining < t0 or c - remaining > t1:
                 return False
+        if remaining == 0:
+            return True  # nothing more is removed, so the checks were exact
         if i == len(class_rows):
-            # No capacity is left, so the checks above were exact.
-            return remaining == 0
+            return False
         sign, size, rows = class_rows[i]
         for x in range(min(size, remaining), -1, -1):
             for r in rows:
@@ -309,11 +293,9 @@ def essential_diagram(d: DlDiagram) -> tuple[DlDiagram, MoveTrace]:
     Returns the diagram together with the elimination trace certifying
     that the non-essential double lines can be removed.
     """
-    essential, residual = next(
-        _important_of_size(d, essential_count(d), winding_sums(d), _line_crossings(d))
-    )
-    keep = set(essential)
+    keep = set(important_subsets(d, limit=1)[0].subset)
     rest = DlDiagram(tuple(t for i, t in enumerate(d.tokens) if i not in keep))
+    residual = winding_sums(rest)
     cert = eliminate_double_lines(rest)
     out: list[Token] = []
     for i, t in enumerate(d.tokens):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlknot import essential_count, parse
 from dlknot.cli import main
 from dlknot.moves import ALL_KINDS
 
@@ -36,6 +37,18 @@ class TestInvariants:
     def test_bad_input(self, capsys):
         code, _, err = run(capsys, "invariants", "wat")
         assert code == 2 and "error" in err
+
+    def test_many_classes(self, capsys):
+        # 1,200 lines in 1,200 classes (a class is a sign and a set of
+        # winding intervals): the class search stops once nothing is left
+        # to remove, instead of recursing through every remaining class.
+        word = " ".join(
+            [f"U{i}+ D+ D-" for i in range(1, 301)] + [f"O{i}+ D+ D-" for i in range(1, 301)]
+        )
+        for text, count in [(word, 0), (word + " D+ D+", 2)]:
+            assert essential_count(parse(text)) == count
+            code, out, _ = run(capsys, "invariants", text, "--json")
+            assert code == 0 and json.loads(out)["essential_count"] == count
 
 
 class TestProjectionCommands:
@@ -137,6 +150,13 @@ class TestSearchAndApply:
             "DlPairAdd5",
         )
         assert code == 0
+
+    def test_search_both_from_stdin(self, capsys, monkeypatch):
+        # One stdin cannot hold both words; the second read would be empty.
+        monkeypatch.setattr("sys.stdin", io.StringIO("U1+ O1+"))
+        code, out, err = run(capsys, "search", "-", "-", "--max-moves", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "stdin" in err
 
     def test_search_bad_kind(self, capsys):
         code, _, err = run(capsys, "search", "U1+ O1+", "U1+ O1+", "--kinds", "Nope")

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import dlknot as dl
+from dlknot import moves
 from dlknot.diagram import DoubleLine, Passage
 from dlknot.moves import CROSSING_CHANGE, CROSSING_SLIDING, DL_PAIR_ADD, DL_PAIR_CANCEL, mk
 from dlknot.projection import ProjectionError
@@ -212,10 +213,11 @@ class TestImportantSubsets:
                 for r in dl.important_subsets(d)
             ]
             assert got == expect, dl.serialize(d)
-            assert got[:5] == [
-                (r.subset, r.cardinality, r.residual_parities, r.is_essential)
-                for r in dl.important_subsets(d, limit=5)
-            ]
+            for j in range(1, len(expect) + 1):
+                assert [
+                    (r.subset, r.cardinality, r.residual_parities, r.is_essential)
+                    for r in dl.important_subsets(d, limit=j)
+                ] == expect[:j], (dl.serialize(d), j)
 
     def test_limit_caps_output(self):
         d = dl.one_crossing(-2, 2, 1)
@@ -251,6 +253,44 @@ class TestEssentialDiagram:
             d = dl.one_crossing(m, n, 1)
             out, _ = dl.essential_diagram(d)
             assert dl.canonically_equal(out, d)
+
+    @staticmethod
+    def _reference(d):
+        """The first brute-force important subset's lines kept, the others
+        dropped, and every residual parity -1 crossing changed with one
+        hugging pair."""
+        subset = TestImportantSubsets._enumerate(d)[0][0]
+        rest = dl.DlDiagram(tuple(t for i, t in enumerate(d.tokens) if i not in subset))
+        flip = {c for c in rest.crossing_ids if dl.raw_winding_sum(rest, c) == -1}
+        out = []
+        for i, t in enumerate(d.tokens):
+            if isinstance(t, Passage) and t.crossing_id in flip:
+                out.extend(moves.flip_passage(t, 1))
+            elif isinstance(t, Passage) or i in subset:
+                out.append(t)
+        return dl.DlDiagram(tuple(out)), rest
+
+    def test_matches_bruteforce(self, rng):
+        for _ in range(60):
+            d = random_diagram(rng, 4, 8)
+            expect, rest = self._reference(d)
+            out, trace = dl.essential_diagram(d)
+            assert out.tokens == expect.tokens, dl.serialize(d)
+            assert trace.start == rest
+            assert dl.replay(trace).double_line_count == 0
+
+    def test_wide_word(self):
+        # 28 lines, essential count 8: too many for the brute force above.
+        wide = dl.parse(
+            "D+ O1- D+ D+ U1- D+ D+ U3- D- D- D- D+ D+ D- D- D- D- D+ D- D+ D- O3- U2- "
+            "D+ D+ D- D- D+ D- O2- D- D+ D- D+"
+        )
+        out, trace = dl.essential_diagram(wide)
+        assert dl.serialize(out) == (
+            "D+ O1- D+ D+ U1- D+ O2+ D- D- D- D- D+ U2+ D- U3- O3-"
+        )
+        assert len(trace.steps) == 15
+        assert dl.replay(trace).double_line_count == 0
 
     def test_negative_parity_pair(self):
         d = dl.parse("U1+ D- O1+ D+")
