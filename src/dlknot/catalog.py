@@ -117,19 +117,17 @@ def stretch_family(m: int, k: int, s_max: int) -> list[tuple[OneCrossing, int]]:
     return out
 
 
+def invariant_row(d: DlDiagram, **labels) -> dict:
+    """JSON/TSV-ready table row: the labels, then the degree, parities and
+    essential count of ``d``."""
+    return {
+        **labels,
+        "degree": degree(d),
+        "parities": parity_record(d),
+        "essential_count": essential_count(d),
+    }
+
+
 def family_rows(k: int) -> list[dict]:
     """JSON/TSV-ready rows for the degree-k family table."""
-    rows = []
-    for c in degree_k_family(k):
-        d = c.realize()
-        rows.append(
-            {
-                "m": c.m,
-                "n": c.n,
-                "eps": c.eps,
-                "degree": degree(d),
-                "parities": parity_record(d),
-                "essential_count": essential_count(d),
-            }
-        )
-    return rows
+    return [invariant_row(c.realize(), m=c.m, n=c.n, eps=c.eps) for c in degree_k_family(k)]

@@ -3,11 +3,19 @@
 Subcommands wrap the library operations one-to-one; every command is
 deterministic and exits 0 on success, 1 on a negative result (search
 miss, separability criterion not met), 2 on bad input.
+
+Each row of ``COMMANDS`` gives a subcommand's name, help, handler and
+arguments; every subcommand also takes ``--json`` and ``--output``.  A
+handler returns ``(payload, text)``, or ``(payload, text, exit code)``
+when it can report a negative result, and ``main`` alone prints or writes
+the output.  Bad input, a usage error included, is reported as one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -26,150 +34,94 @@ def _read_arg(text: str) -> str:
     return text
 
 
-def _emit(args, payload, text_fn) -> None:
-    out = json.dumps(payload, indent=2) if args.json else text_fn(payload)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as f:
-            f.write(out + "\n")
-    else:
-        print(out)
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
 
 
-def cmd_invariants(args) -> int:
-    d = parse(_read_arg(args.diagram))
-    record = invariant_record(d)
-    if args.no_essential:
-        record["essential_count"] = None
-    else:
-        record["essential_count"] = projection.essential_count(d)
-    def fmt(r):
-        lines = [
-            f"degree: {r['degree']}",
-            f"crossings: {r['crossings']}",
-            f"double_lines: {r['double_lines']}",
-            "parities: "
-            + ", ".join(
-                f"{p['value']}" + (f" mod {p['modulus']}" if p["modulus"] else "")
-                for p in r["parities"]
-            ),
-            f"essential_count: {r['essential_count']}",
-        ]
-        return "\n".join(lines)
-    _emit(args, record, fmt)
-    return EXIT_OK
+def _parities(ps: list[dict], mod: str, sep: str) -> str:
+    return sep.join(f"{p['value']}" + (f"{mod}{p['modulus']}" if p["modulus"] else "") for p in ps)
 
 
-def cmd_project(args) -> int:
-    d = parse(_read_arg(args.diagram))
-    out = projection.parity_projection(d)
-    _emit(args, {"diagram": serialize(out)}, lambda r: r["diagram"])
-    return EXIT_OK
+def _diagram(d) -> tuple[dict, str]:
+    text = serialize(d)
+    return {"diagram": text}, text
 
 
-def cmd_strip(args) -> int:
-    d = parse(_read_arg(args.diagram))
-    out = projection.strip_double_lines(d)
-    _emit(args, {"diagram": serialize(out)}, lambda r: r["diagram"])
-    return EXIT_OK
-
-
-def cmd_remove(args) -> int:
-    d = parse(_read_arg(args.diagram))
-    cert = projection.eliminate_double_lines(d)
-    if args.trace_file:
-        with open(args.trace_file, "w") as f:
-            f.write(cert.trace.to_text())
-    payload = {
-        "result": serialize(cert.result),
-        "moves": len(cert.trace.steps),
-        "trace_file": args.trace_file,
-    }
-    _emit(args, payload, lambda r: f"{r['result']}\n# {r['moves']} moves")
-    return EXIT_OK
-
-
-def cmd_essential(args) -> int:
-    d = parse(_read_arg(args.diagram))
-    reports = projection.important_subsets(d, limit=args.limit)
-    payload = [r.to_dict() for r in reports]
-    def fmt(rs):
-        return "\n".join(
-            f"{r['cardinality']}\t{r['subset']}\t{r['residual_parities']}\t"
-            + ("essential" if r["essential"] else "important")
-            for r in rs
-        )
-    _emit(args, payload, fmt)
-    return EXIT_OK
-
-
-def _table(rows: list[dict]) -> str:
-    def fmt_parities(ps):
-        return ",".join(
-            f"{p['value']}" + (f"%{p['modulus']}" if p["modulus"] else "") for p in ps
-        ) or "-"
+def _table(rows: list[dict]) -> tuple[list[dict], str]:
     lines = []
     for r in rows:
         cells = [str(r[k]) for k in r if k != "parities"]
-        cells.append(fmt_parities(r["parities"]))
-        lines.append("\t".join(cells))
-    return "\n".join(lines)
+        lines.append("\t".join(cells + [_parities(r["parities"], "%", ",") or "-"]))
+    return rows, "\n".join(lines)
 
 
-def cmd_catalog(args) -> int:
-    rows = catalog.family_rows(args.k)
-    _emit(args, rows, _table)
-    return EXIT_OK
+def cmd_invariants(args):
+    d = parse(_read_arg(args.diagram))
+    r = invariant_record(d)
+    r["essential_count"] = None if args.no_essential else projection.essential_count(d)
+    text = "\n".join([
+        f"degree: {r['degree']}",
+        f"crossings: {r['crossings']}",
+        f"double_lines: {r['double_lines']}",
+        "parities: " + _parities(r["parities"], " mod ", ", "),
+        f"essential_count: {r['essential_count']}",
+    ])
+    return r, text
 
 
-def cmd_stretch(args) -> int:
+def cmd_remove(args):
+    cert = projection.eliminate_double_lines(parse(_read_arg(args.diagram)))
+    if args.trace_file:
+        _write(args.trace_file, cert.trace.to_text())
+    result, moves = serialize(cert.result), len(cert.trace.steps)
+    payload = {"result": result, "moves": moves, "trace_file": args.trace_file}
+    return payload, f"{result}\n# {moves} moves"
+
+
+def cmd_essential(args):
+    reports = projection.important_subsets(parse(_read_arg(args.diagram)), limit=args.limit)
+    payload = [r.to_dict() for r in reports]
+    text = "\n".join(
+        f"{r['cardinality']}\t{r['subset']}\t{r['residual_parities']}\t"
+        + ("essential" if r["essential"] else "important")
+        for r in payload
+    )
+    return payload, text
+
+
+def cmd_stretch(args):
     fam = catalog.stretch_family(args.m, args.k, args.s_max)
-    rows = [
+    return _table([
         {"m": c.m, "n": c.n, "eps": c.eps, "essential_count": count, "parities": []}
         for c, count in fam
-    ]
-    _emit(args, rows, _table)
-    return EXIT_OK
+    ])
 
 
-def cmd_link_convert(args) -> int:
+def cmd_link_convert(args):
     l = links.parse_sewed(_read_arg(args.link))
-    d = links.to_dl_diagram(l)
-    payload = {"diagram": serialize(d), "linking_number": links.linking_number(l)}
-    _emit(args, payload, lambda r: r["diagram"])
-    return EXIT_OK
+    text = serialize(links.to_dl_diagram(l))
+    return {"diagram": text, "linking_number": links.linking_number(l)}, text
 
 
-def cmd_link_separable(args) -> int:
-    l = links.parse_sewed(_read_arg(args.link))
-    verdict = links.separability_check(l)
-    cert_path = None
-    if verdict.separable and args.certificate:
-        cert_path = args.certificate
-        with open(cert_path, "w") as f:
-            f.write(verdict.witness.trace.to_text())
+def cmd_link_separable(args):
+    verdict = links.separability_check(links.parse_sewed(_read_arg(args.link)))
+    cert_path = args.certificate if verdict.separable and args.certificate else None
+    if cert_path:
+        _write(cert_path, verdict.witness.trace.to_text())
+    o = verdict.obstruction
     payload = {
         "separable": verdict.separable,
-        "obstruction": verdict.obstruction.to_dict() if verdict.obstruction else None,
+        "obstruction": o.to_dict() if o else None,
         "certificate": cert_path,
     }
-    def fmt(r):
-        if r["separable"]:
-            return "separable"
-        o = r["obstruction"]
-        if o["crossing"] is None:
-            return f"not separable by criterion: linking number {o['parity']}"
-        return (
-            "not separable by criterion: crossing "
-            f"{o['crossing']} has parity {o['parity']}"
-        )
-    _emit(args, payload, fmt)
-    return EXIT_OK if verdict.separable else EXIT_NEGATIVE
-
-
-def cmd_link_family(args) -> int:
-    rows = links.link_family_rows(args.m_max)
-    _emit(args, rows, _table)
-    return EXIT_OK
+    if verdict.separable:
+        return payload, "separable", EXIT_OK
+    if o.crossing is None:
+        text = f"not separable by criterion: linking number {o.parity}"
+    else:
+        text = f"not separable by criterion: crossing {o.crossing} has parity {o.parity}"
+    return payload, text, EXIT_NEGATIVE
 
 
 def _parse_kinds(text: str | None) -> frozenset[str]:
@@ -182,149 +134,113 @@ def _parse_kinds(text: str | None) -> frozenset[str]:
     return kinds
 
 
-def cmd_search(args) -> int:
+def cmd_search(args):
     if args.src == args.dst == "-":
         raise DiagramError("only one of src and dst can be read from stdin ('-')")
     src = parse(_read_arg(args.src))
     dst = parse(_read_arg(args.dst))
     result = search.bfs_search(
-        src,
-        dst,
-        max_moves=args.max_moves,
-        max_len=args.max_len,
-        kinds=_parse_kinds(args.kinds),
+        src, dst, max_moves=args.max_moves, max_len=args.max_len, kinds=_parse_kinds(args.kinds)
     )
-    if result.found and args.trace_file:
-        with open(args.trace_file, "w") as f:
-            f.write(result.trace.to_text())
-    payload = {
-        "found": result.found,
-        "explored": result.explored,
-        "moves": [s.to_line() for s in result.trace.steps] if result.found else None,
-    }
-    def fmt(r):
-        if not r["found"]:
-            return f"not found (explored {r['explored']} diagrams)"
-        return "\n".join(r["moves"]) if r["moves"] else "# already equal"
-    _emit(args, payload, fmt)
-    return EXIT_OK if result.found else EXIT_NEGATIVE
+    if not result.found:
+        payload = {"found": False, "explored": result.explored, "moves": None}
+        return payload, f"not found (explored {result.explored} diagrams)", EXIT_NEGATIVE
+    if args.trace_file:
+        _write(args.trace_file, result.trace.to_text())
+    moves = [s.to_line() for s in result.trace.steps]
+    payload = {"found": True, "explored": result.explored, "moves": moves}
+    return payload, "\n".join(moves) if moves else "# already equal", EXIT_OK
 
 
-def cmd_apply(args) -> int:
+def cmd_apply(args):
     d = parse(_read_arg(args.diagram))
-    m = MoveInstance.from_line(args.move)
-    out = apply_move(d, m)
-    _emit(args, {"diagram": serialize(out)}, lambda r: r["diagram"])
-    return EXIT_OK
+    return _diagram(apply_move(d, MoveInstance.from_line(args.move)))
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args):
     with open(args.trace_file) as f:
         text = f.read()
-    trace = (
-        MoveTrace.from_json(text) if text.lstrip().startswith("{") else MoveTrace.from_text(text)
-    )
-    out = replay(trace)
-    _emit(args, {"diagram": serialize(out)}, lambda r: r["diagram"])
-    return EXIT_OK
+    read = MoveTrace.from_json if text.lstrip().startswith("{") else MoveTrace.from_text
+    return _diagram(replay(read(text)))
 
 
+DIAGRAM = (["diagram"], {})
+LINK = (["link"], {})
+TRACE_FILE = (["--trace-file"], {})
+INT = {"type": int}
+
+# (name, help, handler, arguments other than --json and --output)
+COMMANDS = [
+    ("invariants", "degree, parities, essential count", cmd_invariants, [
+        DIAGRAM,
+        (["--no-essential"], {"action": "store_true", "help": "skip the exponential search"}),
+    ]),
+    ("project", "winding-parity projection",
+     lambda a: _diagram(projection.parity_projection(parse(_read_arg(a.diagram)))), [DIAGRAM]),
+    ("strip", "delete all double lines",
+     lambda a: _diagram(projection.strip_double_lines(parse(_read_arg(a.diagram)))), [DIAGRAM]),
+    ("remove", "eliminate double lines by moves, with trace", cmd_remove, [DIAGRAM, TRACE_FILE]),
+    ("essential", "important/essential double-line subsets", cmd_essential, [
+        DIAGRAM, (["--limit"], {"type": int, "default": None}),
+    ]),
+    ("catalog", "degree-k one-crossing family table",
+     lambda a: _table(catalog.family_rows(a.k)), [(["k"], INT)]),
+    ("stretch", "(m+sk, k-sk-m) family with essential counts", cmd_stretch,
+     [(["m"], INT), (["k"], INT), (["s_max"], INT)]),
+    ("link-convert", "sewed link to double-line diagram", cmd_link_convert, [LINK]),
+    ("link-separable", "separability criterion check", cmd_link_separable, [
+        LINK, (["--certificate"], {"help": "write the witness trace to this file"}),
+    ]),
+    ("link-family", "L(m,-m) family invariant table",
+     lambda a: _table(links.link_family_rows(a.m_max)), [(["m_max"], INT)]),
+    ("search", "bounded BFS over the move graph", cmd_search, [
+        (["src"], {}),
+        (["dst"], {}),
+        (["--max-moves"], {"type": int, "default": 8}),
+        (["--max-len"], {"type": int, "default": 24}),
+        (["--kinds"], {"default": "all", "help": "comma-separated move kinds"}),
+        TRACE_FILE,
+    ]),
+    ("apply", "apply one move given as a trace line", cmd_apply, [DIAGRAM, (["move"], {})]),
+    ("replay", "replay a trace file", cmd_replay, [(["trace_file"], {})]),
+]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so that ``main`` reports them as one line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="dlknot", description=__doc__)
+    # The help shows the docstring's first two paragraphs (none under -OO).
+    p = _Parser(prog="dlknot", description="\n\n".join((__doc__ or "").split("\n\n")[:2]))
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, help_text, func, arguments in COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
         sp.add_argument("--json", action="store_true", help="emit JSON")
         sp.add_argument("--output", help="write output to a file instead of stdout")
-
-    sp = sub.add_parser("invariants", help="degree, parities, essential count")
-    sp.add_argument("diagram")
-    sp.add_argument("--no-essential", action="store_true", help="skip the exponential search")
-    common(sp)
-    sp.set_defaults(func=cmd_invariants)
-
-    sp = sub.add_parser("project", help="winding-parity projection")
-    sp.add_argument("diagram")
-    common(sp)
-    sp.set_defaults(func=cmd_project)
-
-    sp = sub.add_parser("strip", help="delete all double lines")
-    sp.add_argument("diagram")
-    common(sp)
-    sp.set_defaults(func=cmd_strip)
-
-    sp = sub.add_parser("remove", help="eliminate double lines by moves, with trace")
-    sp.add_argument("diagram")
-    sp.add_argument("--trace-file")
-    common(sp)
-    sp.set_defaults(func=cmd_remove)
-
-    sp = sub.add_parser("essential", help="important/essential double-line subsets")
-    sp.add_argument("diagram")
-    sp.add_argument("--limit", type=int, default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_essential)
-
-    sp = sub.add_parser("catalog", help="degree-k one-crossing family table")
-    sp.add_argument("k", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_catalog)
-
-    sp = sub.add_parser("stretch", help="(m+sk, k-sk-m) family with essential counts")
-    sp.add_argument("m", type=int)
-    sp.add_argument("k", type=int)
-    sp.add_argument("s_max", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_stretch)
-
-    sp = sub.add_parser("link-convert", help="sewed link to double-line diagram")
-    sp.add_argument("link")
-    common(sp)
-    sp.set_defaults(func=cmd_link_convert)
-
-    sp = sub.add_parser("link-separable", help="separability criterion check")
-    sp.add_argument("link")
-    sp.add_argument("--certificate", help="write the witness trace to this file")
-    common(sp)
-    sp.set_defaults(func=cmd_link_separable)
-
-    sp = sub.add_parser("link-family", help="L(m,-m) family invariant table")
-    sp.add_argument("m_max", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_link_family)
-
-    sp = sub.add_parser("search", help="bounded BFS over the move graph")
-    sp.add_argument("src")
-    sp.add_argument("dst")
-    sp.add_argument("--max-moves", type=int, default=8)
-    sp.add_argument("--max-len", type=int, default=24)
-    sp.add_argument("--kinds", default="all", help="comma-separated move kinds")
-    sp.add_argument("--trace-file")
-    common(sp)
-    sp.set_defaults(func=cmd_search)
-
-    sp = sub.add_parser("apply", help="apply one move given as a trace line")
-    sp.add_argument("diagram")
-    sp.add_argument("move")
-    common(sp)
-    sp.set_defaults(func=cmd_apply)
-
-    sp = sub.add_parser("replay", help="replay a trace file")
-    sp.add_argument("trace_file")
-    common(sp)
-    sp.set_defaults(func=cmd_replay)
-
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        payload, text, *code = args.func(args)
+        out = json.dumps(payload, indent=2) if args.json else text
+        if args.output:
+            _write(args.output, out + "\n")
+        else:
+            print(out)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    return code[0] if code else EXIT_OK
 
 
 if __name__ == "__main__":

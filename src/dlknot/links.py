@@ -13,23 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
+from .catalog import invariant_row, one_crossing
 from .diagram import (
-    OVER,
-    UNDER,
     DlDiagram,
     DoubleLine,
     Passage,
     degree,
-    parity_record,
     read_tokens,
     token_to_text,
     winding_sums,
 )
-from .projection import (
-    EliminationCertificate,
-    eliminate_double_lines,
-    essential_count,
-)
+from .projection import EliminationCertificate, eliminate_double_lines
+
 
 @dataclass(frozen=True)
 class Clasp:
@@ -78,11 +73,8 @@ def make_L(m: int, n: int, eps: int = 1) -> SewedLink:
     """The 2-component link whose conversion is the one-crossing diagram
     (m, n) with crossing sign eps: clasp blocks of sums m and n around a
     single self-crossing of K."""
-    def block(v: int) -> list[Clasp]:
-        return [Clasp(1 if v > 0 else -1)] * abs(v)
-
-    tokens = [Passage(1, UNDER, eps)] + block(m) + [Passage(1, OVER, eps)] + block(n)
-    return SewedLink(tuple(tokens))
+    tokens = one_crossing(m, n, eps).tokens
+    return SewedLink(tuple(Clasp(t.sign) if isinstance(t, DoubleLine) else t for t in tokens))
 
 
 @dataclass(frozen=True)
@@ -132,15 +124,4 @@ def link_family_rows(m_max: int) -> list[dict]:
     m = 1..m_max; the essential counts 2m make the rows pairwise distinct."""
     if m_max < 1:
         raise ValueError("link_family_rows needs m_max >= 1")
-    rows = []
-    for m in range(1, m_max + 1):
-        d = to_dl_diagram(make_L(m, -m, 1))
-        rows.append(
-            {
-                "m": m,
-                "degree": degree(d),
-                "parities": parity_record(d),
-                "essential_count": essential_count(d),
-            }
-        )
-    return rows
+    return [invariant_row(to_dl_diagram(make_L(m, -m, 1)), m=m) for m in range(1, m_max + 1)]

@@ -261,29 +261,42 @@ def _essential_count(d: DlDiagram, raw: dict[int, int], holds: dict[int, list[in
     suf.reverse()
     cur = [0] * len(targets)
 
-    def rec(i: int, remaining: int) -> bool:
-        # DFS over per-class counts; c must reach [t0, t1] within p/m and remaining.
-        plus, minus = suf[i]
-        for c, p, m, (t0, t1) in zip(cur, plus, minus, targets):
-            if c + p < t0 or c - m > t1 or c + remaining < t0 or c - remaining > t1:
+    def fits(k: int) -> bool:
+        # DFS over per-class counts, largest count first: xs holds the counts
+        # taken from classes 0..len(xs)-1, and every row's c must still reach
+        # [t0, t1] within the suffix capacity p/m and the remaining budget.
+        xs: list[int] = []
+        remaining = k
+        while True:
+            plus, minus = suf[len(xs)]
+            for c, p, m, (t0, t1) in zip(cur, plus, minus, targets):
+                if c + p < t0 or c - m > t1 or c + remaining < t0 or c - remaining > t1:
+                    break
+            else:
+                if remaining == 0:
+                    return True  # nothing more is removed, so the checks were exact
+                if len(xs) < len(class_rows):
+                    sign, size, rows = class_rows[len(xs)]
+                    x = min(size, remaining)
+                    for r in rows:
+                        cur[r] += sign * x
+                    xs.append(x)
+                    remaining -= x
+                    continue
+            # Backtrack: the deepest class with a count left takes one less.
+            while xs and xs[-1] == 0:
+                xs.pop()
+            if not xs:
                 return False
-        if remaining == 0:
-            return True  # nothing more is removed, so the checks were exact
-        if i == len(class_rows):
-            return False
-        sign, size, rows = class_rows[i]
-        for x in range(min(size, remaining), -1, -1):
+            sign, _, rows = class_rows[len(xs) - 1]
             for r in rows:
-                cur[r] += sign * x
-            if rec(i + 1, remaining - x):
-                return True
-            for r in rows:
-                cur[r] -= sign * x
-        return False
+                cur[r] -= sign
+            xs[-1] -= 1
+            remaining += 1
 
     # A subset removing the degree has the degree's parity and at least
     # |deg| lines; the full set is always important, so some k fits.
-    return next(k for k in range(abs(deg), len(holds) + 1, 2) if rec(0, k))
+    return next(k for k in range(abs(deg), len(holds) + 1, 2) if fits(k))
 
 
 def essential_diagram(d: DlDiagram) -> tuple[DlDiagram, MoveTrace]:

@@ -3,12 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import dlknot
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlknot import essential_count, parse
+from dlknot import essential_count, important_subsets, parse
 from dlknot.cli import main
 from dlknot.moves import ALL_KINDS
 
@@ -49,6 +55,16 @@ class TestInvariants:
             assert essential_count(parse(text)) == count
             code, out, _ = run(capsys, "invariants", text, "--json")
             assert code == 0 and json.loads(out)["essential_count"] == count
+
+    def test_class_per_line(self, capsys):
+        # One class per line, and every class is needed: the class search
+        # goes 1,200 classes deep without recursing.
+        text = " ".join(f"U{i}+ D+ O{i}+" for i in range(1, 1201))
+        d = parse(text)
+        assert essential_count(d) == 1200
+        assert important_subsets(d, limit=1)[0].cardinality == 1200
+        code, out, _ = run(capsys, "invariants", text, "--json")
+        assert code == 0 and json.loads(out)["essential_count"] == 1200
 
 
 class TestProjectionCommands:
@@ -292,6 +308,182 @@ class TestOutputFile:
         code, out, _ = run(capsys, "strip", "U1+ D+ O1+", "--output", str(dest))
         assert code == 0 and out == ""
         assert dest.read_text().strip() == "U1+ O1+"
+
+
+# (argv, exit code, stdout, stdout with --json in compact form); the trace
+# file t.txt holds _TRACE.
+_TRACE = "U1+ O1+\nDlPairAdd5 pos=0 sign=1\n"
+_EXACT = [
+    (
+        ["invariants", "U1+ D+ D+ O1+ D+"], 0,
+        "degree: 3\ncrossings: 1\ndouble_lines: 3\nparities: 2 mod 3\nessential_count: 3\n",
+        '{"degree": 3, "parities": [{"value": 2, "modulus": 3}], "crossings": 1, '
+        '"double_lines": 3, "essential_count": 3}',
+    ),
+    (
+        ["project", "U1+ D- O1+ D+"], 0,
+        "O1- D- D+ U1- D- D+\n",
+        '{"diagram": "O1- D- D+ U1- D- D+"}',
+    ),
+    (
+        ["strip", "U1+ D+ D+ O1+ D+"], 0,
+        "U1+ O1+\n",
+        '{"diagram": "U1+ O1+"}',
+    ),
+    (
+        ["remove", "U1+ D- O1+ D+"], 0,
+        "O1- U1-\n# 3 moves\n",
+        '{"result": "O1- U1-", "moves": 3, "trace_file": null}',
+    ),
+    (
+        ["essential", "U1+ D+ O1+ D-"], 0,
+        "2\t[1, 3]\t[0]\tessential\n",
+        '[{"subset": [1, 3], "cardinality": 2, "residual_parities": [0], "essential": true}]',
+    ),
+    (
+        ["catalog", "3"], 0,
+        "0\t3\t1\t3\t3\t0%3\n1\t2\t1\t3\t3\t1%3\n",
+        '[{"m": 0, "n": 3, "eps": 1, "degree": 3, "parities": [{"value": 0, "modulus": 3}], '
+        '"essential_count": 3}, {"m": 1, "n": 2, "eps": 1, "degree": 3, "parities": '
+        '[{"value": 1, "modulus": 3}], "essential_count": 3}]',
+    ),
+    (
+        ["stretch", "1", "3", "1"], 0,
+        "1\t2\t1\t3\t-\n4\t-1\t1\t5\t-\n",
+        '[{"m": 1, "n": 2, "eps": 1, "essential_count": 3, "parities": []}, {"m": 4, "n": -1,'
+        ' "eps": 1, "essential_count": 5, "parities": []}]',
+    ),
+    (
+        ["link-convert", "U1+ C+ C- O1+"], 0,
+        "U1+ D+ D- O1+\n",
+        '{"diagram": "U1+ D+ D- O1+", "linking_number": 0}',
+    ),
+    (
+        ["link-separable", "U1+ C- O1+ C+"], 0,
+        "separable\n",
+        '{"separable": true, "obstruction": null, "certificate": null}',
+    ),
+    (
+        ["link-separable", "U1+ C+ C+ O1+ C- C-"], 1,
+        "not separable by criterion: crossing 1 has parity 2\n",
+        '{"separable": false, "obstruction": {"crossing": 1, "parity": 2}, "certificate": '
+        'null}',
+    ),
+    (
+        ["link-family", "2"], 0,
+        "1\t0\t2\t1\n2\t0\t4\t2\n",
+        '[{"m": 1, "degree": 0, "parities": [{"value": 1, "modulus": 0}], "essential_count": '
+        '2}, {"m": 2, "degree": 0, "parities": [{"value": 2, "modulus": 0}], '
+        '"essential_count": 4}]',
+    ),
+    (
+        ["search", "U1+ D+ O1+ D-", "U1+ D+ O1+ D- D+ D-", "--max-moves", "2"], 0,
+        "DlPairAdd5 pos=0 sign=1\n",
+        '{"found": true, "explored": 5, "moves": ["DlPairAdd5 pos=0 sign=1"]}',
+    ),
+    (
+        ["search", "U1+ O1+", "D+", "--max-moves", "1"], 1,
+        "not found (explored 0 diagrams)\n",
+        '{"found": false, "explored": 0, "moves": null}',
+    ),
+    (
+        ["apply", "U1+ O1+", "CrossingSliding crossing_id=1 direction=1"], 0,
+        "D+ U1+ D- D+ O1+ D-\n",
+        '{"diagram": "D+ U1+ D- D+ O1+ D-"}',
+    ),
+    (
+        ["replay", "t.txt"], 0,
+        "D+ D- U1+ O1+\n",
+        '{"diagram": "D+ D- U1+ O1+"}',
+    ),
+]
+
+
+class TestExactOutput:
+    @pytest.mark.parametrize(
+        "argv, code, text, compact",
+        _EXACT,
+        ids=[
+            "invariants",
+            "project",
+            "strip",
+            "remove",
+            "essential",
+            "catalog",
+            "stretch",
+            "link-convert",
+            "link-separable-yes",
+            "link-separable-no",
+            "link-family",
+            "search-hit",
+            "search-miss",
+            "apply",
+            "replay",
+        ],
+    )
+    def test_stdout_and_output_file(self, capsys, tmp_path, monkeypatch, argv, code, text, compact):
+        monkeypatch.chdir(tmp_path)
+        Path("t.txt").write_text(_TRACE)
+        as_json = json.dumps(json.loads(compact), indent=2) + "\n"
+        for extra, expected in [([], text), (["--json"], as_json)]:
+            assert run(capsys, *argv, *extra) == (code, expected, "")
+            # --output writes exactly what stdout would have shown.
+            assert run(capsys, *argv, *extra, "--output", "o.txt") == (code, "", "")
+            assert Path("o.txt").read_text() == expected
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nope"],
+            ["catalog", "x"],
+            ["search", "a"],
+            ["essential", "D+", "--limit", "x"],
+            ["invariants", "D+", "--bogus"],
+        ],
+        ids=["no-command", "unknown-command", "bad-int", "missing-argument", "bad-option-value",
+             "unknown-option"],
+    )
+    def test_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["strip", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dlknot strip")
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (
+            ["invariants", "U1+ O1+", "--no-essential"], 0,
+            "degree: 0\ncrossings: 1\ndouble_lines: 0\nparities: 0\nessential_count: None\n",
+        ),
+        (["search", "U1+ O1+", "D+", "--max-moves", "1"], 1, "not found (explored 0 diagrams)\n"),
+        (["catalog", "x"], 2, ""),
+    ],
+    ids=["ok", "negative", "bad-input"],
+)
+def test_module_entry_point(argv, code, stdout):
+    """``python -m dlknot.cli`` reads ``sys.argv`` and exits with main's code."""
+    src = str(Path(dlknot.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dlknot.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == code and proc.stdout == stdout
+    if code == 2:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
 
 
 _WORDS = ["U1+", "O1+", "U2-", "O2-", "U1-", "D+", "D-", "C+", "O0+", "U3+", "X", "D", "1", "U1+O1+"]
