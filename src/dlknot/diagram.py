@@ -111,6 +111,29 @@ class DlDiagram:
         return serialize(self)
 
 
+def _trusted(tokens: tuple[Token, ...]) -> DlDiagram:
+    """A diagram built without ``_validate``, for the outputs of
+    ``moves.apply``: every move builds a valid word from a valid one.
+
+    - R1Add and R2Add insert passages of fresh crossing ids, with unit
+      signs and one Over and one Under passage each.
+    - DlPairAdd5 inserts two double lines of unit signs.
+    - CrossingChange and CrossingSliding flip both passages of one
+      crossing (role and sign) and insert double lines of unit signs.
+    - DlSlide4 and R3 permute the word.
+    - R1Remove and R2Remove delete both passages of each crossing they
+      touch; the pattern test checks this before anything is deleted.
+    - DlPairCancel5 deletes two double lines.
+
+    ``apply`` still checks a move's parameters and sites before it builds
+    anything.  Every other diagram, above all one read from outside the
+    library, goes through ``DlDiagram(...)`` and its check.
+    """
+    d = object.__new__(DlDiagram)
+    object.__setattr__(d, "tokens", tokens)
+    return d
+
+
 def _validate(tokens: tuple[Token, ...]) -> None:
     seen: dict[int, list[Passage]] = {}
     for t in tokens:
@@ -184,11 +207,24 @@ def _code(tokens: tuple[Token, ...]) -> tuple[int, ...]:
     return tuple(code)
 
 
+def _least_rotation(c: tuple[int, ...]) -> int:
+    """The start of the least rotation of the non-empty ``c``.  That
+    rotation begins with ``min(c)``, so only the starts at an occurrence
+    of it are compared, and a unique least value fixes the start."""
+    low = min(c)
+    if c.count(low) == 1:
+        return c.index(low)
+    return min((i for i, v in enumerate(c) if v == low), key=lambda i: c[i:] + c[:i])
+
+
 def canonical_key(d: DlDiagram) -> tuple[int, ...]:
     """The least rotation of the word's code: equal for two diagrams iff
     they differ only by a cyclic rotation and a renaming of crossing ids."""
     c = _code(d.tokens)
-    return min((c[i:] + c[:i] for i in range(len(c))), default=())
+    if not c:
+        return c
+    r = _least_rotation(c)
+    return c[r:] + c[:r]
 
 
 def canonicalize(d: DlDiagram) -> DlDiagram:
@@ -201,7 +237,7 @@ def canonicalize(d: DlDiagram) -> DlDiagram:
     c = _code(d.tokens)
     if not c:
         return d
-    r = min(range(len(c)), key=lambda i: c[i:] + c[:i])
+    r = _least_rotation(c)
     return DlDiagram(tuple(_relabel_first_occurrence(d.tokens[r:] + d.tokens[:r])))
 
 

@@ -33,6 +33,7 @@ from .diagram import (
     DoubleLine,
     Passage,
     Token,
+    _trusted,
     read_tokens,
     serialize,
 )
@@ -181,9 +182,9 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
             for i in sites:
                 j = (i + 1) % n
                 out[i], out[j] = out[j], out[i]
-            return DlDiagram(tuple(out))
+            return _trusted(tuple(out))
         drop = {q % n for p in sites for q in (p, p + 1)}
-        return DlDiagram(tuple(t for i, t in enumerate(tokens) if i not in drop))
+        return _trusted(tuple(t for i, t in enumerate(tokens) if i not in drop))
 
     if m.kind == R1_ADD:
         pos = _check_pos(m, "pos", n, allow_end=True)
@@ -193,7 +194,7 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
         cid = _fresh_id(tokens)
         roles = (UNDER, OVER) if order == "UO" else (OVER, UNDER)
         pair = (Passage(cid, roles[0], sign), Passage(cid, roles[1], sign))
-        return DlDiagram(tokens[:pos] + pair + tokens[pos:])
+        return _trusted(tokens[:pos] + pair + tokens[pos:])
 
     if m.kind == R2_ADD:
         pos1 = _check_pos(m, "pos1", n, allow_end=True)
@@ -213,7 +214,7 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
         else:
             out[pos1:pos1] = block1
             out[pos2:pos2] = block2
-        return DlDiagram(tuple(out))
+        return _trusted(tuple(out))
 
     if m.kind == DL_PAIR_ADD:
         pos = _check_pos(m, "pos", n, allow_end=True)
@@ -221,7 +222,7 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
         if not _is_unit(sign):
             raise MoveError("bad DlPairAdd5 sign")
         pair = (DoubleLine(sign), DoubleLine(-sign))
-        return DlDiagram(tokens[:pos] + pair + tokens[pos:])
+        return _trusted(tokens[:pos] + pair + tokens[pos:])
 
     if m.kind == CROSSING_CHANGE:
         chirality = m["chirality"] if _has(m, "chirality") else 1
@@ -271,7 +272,7 @@ def _map_crossing(d: DlDiagram, cid: int, f) -> DlDiagram:
     # that no passage matched.
     if len(out) == len(d.tokens):
         raise MoveError(f"unknown crossing id {cid!r}")
-    return DlDiagram(tuple(out))
+    return _trusted(tuple(out))
 
 
 def _site_error(tokens: tuple[Token, ...], kind: str, sites: Sequence[int]) -> str | None:
@@ -350,9 +351,19 @@ def enumerate_moves(d: DlDiagram, kinds: Iterable[str] = ALL_KINDS) -> list[Move
                         for eps in (1, -1):
                             out.append(mk(R2_ADD, pos1=pos1, pos2=pos2, role=role, eps=eps))
         elif kind == R2_REMOVE:
-            for pos1, pos2 in combinations(range(n), 2):
-                if _site_error(tokens, R2_REMOVE, (pos1, pos2)) is None:
-                    out.append(mk(R2_REMOVE, pos1=pos1, pos2=pos2))
+            # The second site ends at the partner of tokens[pos1], which
+            # sits at its crossing's position sum less pos1, so each pos1
+            # has one candidate pos2.  The pattern is symmetric in its two
+            # sites, so a pair is found from its smaller site.
+            position_sums: dict[int, int] = {}
+            for i, t in enumerate(tokens):
+                if isinstance(t, Passage):
+                    position_sums[t.crossing_id] = position_sums.get(t.crossing_id, 0) + i
+            for pos1, t in enumerate(tokens):
+                if isinstance(t, Passage):
+                    pos2 = (position_sums[t.crossing_id] - pos1 - 1) % n
+                    if pos1 < pos2 and _site_error(tokens, R2_REMOVE, (pos1, pos2)) is None:
+                        out.append(mk(R2_REMOVE, pos1=pos1, pos2=pos2))
         elif kind == R3:
             adj = [
                 p

@@ -3,7 +3,7 @@
 import pytest
 
 import dlknot as dl
-from dlknot.diagram import DiagramError, DlDiagram, DoubleLine, Passage
+from dlknot.diagram import DiagramError, DlDiagram, DoubleLine, Passage, _code
 
 from conftest import random_diagram
 
@@ -112,7 +112,45 @@ def rotated_and_renamed(rng, d):
     )
 
 
+def all_rotations_key(d):
+    """Reference: the least of all n rotations of the word's code."""
+    c = _code(d.tokens)
+    return min((c[i:] + c[:i] for i in range(len(c))), default=())
+
+
+def all_rotations_form(d):
+    """Reference: the word rotated to the first start of the least code
+    rotation among all n, crossings relabeled by first occurrence."""
+    if not d.tokens:
+        return d
+    c = _code(d.tokens)
+    r = min(range(len(c)), key=lambda i: c[i:] + c[:i])
+    return dl.parse(dl.serialize(DlDiagram(d.tokens[r:] + d.tokens[:r])))
+
+
 class TestCanonicalKey:
+    # Words whose least code value occurs many times.
+    REPEATED = [
+        "",
+        "D+",
+        "D-",
+        "D+ D+ D+ D+",
+        "D+ D- D+ D- D+ D-",
+        "U1+ O1+",
+        "U1+ O1+ U2+ O2+ U3+ O3+ U4+ O4+",
+        "U1+ O1+ D+ U2+ O2+ D+ U3+ O3+ D+",
+        "U1+ O2+ U2+ O1+ U3+ O4+ U4+ O3+",
+        "U1- O2- D+ U2- O1- D+ U3- O4- D+ U4- O3- D+",
+        "D+ D+ U1+ O1+ D+ D+ U2+ O2+ D+ U3+ O3+",
+    ]
+
+    def test_least_value_starts_match_all_rotations(self, rng):
+        words = [dl.parse(t) for t in self.REPEATED]
+        words += [random_diagram(rng, max_crossings=3, max_double_lines=4) for _ in range(2000)]
+        for d in words:
+            assert dl.canonical_key(d) == all_rotations_key(d), dl.serialize(d)
+            assert dl.canonicalize(d) == all_rotations_form(d), dl.serialize(d)
+
     def test_matches_reference(self, rng):
         same = differ = 0
         for _ in range(3000):

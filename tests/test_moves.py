@@ -1,5 +1,6 @@
 """Move calculus: application, enumeration, inversion, traces."""
 
+import json
 from collections import Counter
 from itertools import combinations
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlknot as dl
-from dlknot.diagram import DlDiagram, DoubleLine, Passage
+from dlknot.diagram import DiagramError, DlDiagram, DoubleLine, Passage, read_tokens
 from dlknot.moves import (
     CROSSING_CHANGE,
     CROSSING_SLIDING,
@@ -25,11 +26,12 @@ from dlknot.moves import (
     MoveInstance,
     MoveTrace,
     ReplayError,
+    _site_error,
     invert,
     mk,
 )
 
-from conftest import random_diagram
+from conftest import random_degree_zero, random_diagram
 
 
 @st.composite
@@ -173,6 +175,26 @@ class TestEnumerate:
                 hits[kind] += len(expect)
         assert all(hits[kind] for kind in self.SITE_KEYS), hits
 
+    def test_r2_remove_matches_pair_scan(self, rng):
+        """Reference: the scan of every pair of sites that the partner
+        positions replace."""
+        hits = 0
+        for _ in range(2000):
+            d = random_diagram(rng, max_crossings=5, max_double_lines=3)
+            if d.tokens and rng.random() < 0.5:
+                # An R2Add plants a pattern, which shuffled words rarely hold.
+                n = len(d.tokens)
+                d = dl.apply(d, mk(R2_ADD, pos1=rng.randrange(n), pos2=rng.randrange(n),
+                                   role=rng.choice("OU"), eps=rng.choice((1, -1))))
+            expect = [
+                mk(R2_REMOVE, pos1=pos1, pos2=pos2)
+                for pos1, pos2 in combinations(range(len(d.tokens)), 2)
+                if _site_error(d.tokens, R2_REMOVE, (pos1, pos2)) is None
+            ]
+            assert dl.enumerate_moves(d, {R2_REMOVE}) == expect, dl.serialize(d)
+            hits += len(expect)
+        assert hits > 1000, hits
+
     def test_growth_is_exact(self, rng):
         seen = set()
         for _ in range(200):
@@ -185,6 +207,62 @@ class TestEnumerate:
     def test_deterministic(self, rng):
         d = random_diagram(rng, max_crossings=4, max_double_lines=6)
         assert dl.enumerate_moves(d, dl.ALL_KINDS) == dl.enumerate_moves(d, dl.ALL_KINDS)
+
+
+def assert_valid(child):
+    """``apply`` builds its outputs without the check that ``DlDiagram``
+    runs (``_validate``): they must pass it all the same."""
+    assert type(child.tokens) is tuple
+    assert DlDiagram(child.tokens) == child
+
+
+class TestOutputsValid:
+    def test_every_instance(self, rng):
+        kinds = Counter()
+        for _ in range(2000):
+            d = random_diagram(rng, max_crossings=3, max_double_lines=2)
+            for m in dl.enumerate_moves(d, dl.ALL_KINDS):
+                assert_valid(dl.apply(d, m))
+                kinds[m.kind] += 1
+        assert set(kinds) == dl.ALL_KINDS, kinds
+
+    def test_walks_and_replay(self, rng):
+        kinds = Counter()
+        for _ in range(300):
+            start = cur = random_diagram(rng, max_crossings=3, max_double_lines=4)
+            steps = []
+            for _ in range(8):
+                room = 14 - len(cur.tokens)
+                moves = dl.enumerate_moves(cur, [k for k in dl.ALL_KINDS if GROWTH[k] <= room])
+                if not moves:
+                    break
+                m = rng.choice(moves)
+                cur = dl.apply(cur, m)
+                assert_valid(cur)
+                steps.append(m)
+                kinds[m.kind] += 1
+            t = MoveTrace(start, tuple(steps))
+            assert dl.replay(MoveTrace.from_text(t.to_text())) == cur
+        assert set(kinds) == dl.ALL_KINDS, kinds
+        for _ in range(100):
+            trace = dl.eliminate_double_lines(dl.parity_projection(random_degree_zero(rng))).trace
+            cur = trace.start
+            for m in trace.steps:
+                cur = dl.apply(cur, m)
+                assert_valid(cur)
+            assert dl.replay(trace) == cur
+
+    # Lone passages and broken pairs.
+    @pytest.mark.parametrize("text", ["U1+", "O1+ D+", "U1+ U1+", "U1+ O1-", "U1+ O1+ U1+"])
+    def test_outside_input_still_checked(self, text):
+        with pytest.raises(DiagramError):
+            dl.parse(text)
+        with pytest.raises(DiagramError):
+            DlDiagram(tuple(read_tokens(text)))
+        with pytest.raises(DiagramError):
+            MoveTrace.from_text(text + "\nDlPairAdd5 pos=0 sign=1\n")
+        with pytest.raises(DiagramError):
+            MoveTrace.from_json(json.dumps({"start": text, "steps": []}))
 
 
 class TestInvert:
