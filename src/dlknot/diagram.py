@@ -112,8 +112,9 @@ class DlDiagram:
 
 
 def _trusted(tokens: tuple[Token, ...]) -> DlDiagram:
-    """A diagram built without ``_validate``, for the outputs of
-    ``moves.apply``: every move builds a valid word from a valid one.
+    """A diagram built without ``_validate``, for the children that the
+    move builders in ``moves`` make for ``apply`` and ``successors``:
+    every move builds a valid word from a valid one.
 
     - R1Add and R2Add insert passages of fresh crossing ids, with unit
       signs and one Over and one Under passage each.
@@ -126,7 +127,8 @@ def _trusted(tokens: tuple[Token, ...]) -> DlDiagram:
     - DlPairCancel5 deletes two double lines.
 
     ``apply`` still checks a move's parameters and sites before it builds
-    anything.  Every other diagram, above all one read from outside the
+    anything, and ``successors`` builds only at sites that pass the same
+    pattern tests.  Every other diagram, above all one read from outside the
     library, goes through ``DlDiagram(...)`` and its check.
     """
     d = object.__new__(DlDiagram)

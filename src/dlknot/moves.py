@@ -14,8 +14,16 @@ mean "insert before the token currently at that index".
 
 Five moves match a pattern at one to three sites: R1Remove, R2Remove and
 DlPairCancel5 delete their pairs; DlSlide4 and R3 swap the two tokens of
-each pair.  ``_site_error`` holds the pattern test for all five, and both
-``apply`` and ``enumerate_moves`` use it.
+each pair.  ``_site_error`` holds the pattern test for all five; the three
+one-site patterns are one pair test, ``_pair_kind``.
+
+``successors`` lists every applicable instance with its child: one walk
+classifies every adjacent pair with ``_pair_kind``, and only R2Remove and
+R3 candidates go through ``_site_error``.  ``enumerate_moves`` is its list
+of moves.  ``apply`` checks every parameter and site of a move from
+outside (a trace, the CLI, a caller) and then builds the child with the
+same builder as ``successors``: one each to insert, delete pairs, swap
+pairs, and replace a crossing's passages.
 """
 
 from __future__ import annotations
@@ -168,7 +176,8 @@ def _check_pos(m: MoveInstance, key: str, n: int, allow_end: bool = False) -> in
 
 
 def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
-    """Apply a move instance; raise MoveError on pattern mismatch."""
+    """Apply a move instance; raise MoveError on a bad parameter or a
+    pattern mismatch.  The child is built as ``successors`` builds it."""
     tokens = d.tokens
     n = len(tokens)
 
@@ -177,24 +186,14 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
         why = _site_error(tokens, m.kind, sites)
         if why:
             raise MoveError(f"{m.kind}: {why}")
-        if m.kind in _SWAP_KINDS:
-            out = list(tokens)
-            for i in sites:
-                j = (i + 1) % n
-                out[i], out[j] = out[j], out[i]
-            return _trusted(tuple(out))
-        drop = {q % n for p in sites for q in (p, p + 1)}
-        return _trusted(tuple(t for i, t in enumerate(tokens) if i not in drop))
+        return (_swap if m.kind in _SWAP_KINDS else _delete)(tokens, sites)
 
     if m.kind == R1_ADD:
         pos = _check_pos(m, "pos", n, allow_end=True)
         order, sign = m["order"], m["sign"]
         if order not in ("UO", "OU") or not _is_unit(sign):
             raise MoveError("bad R1Add parameters")
-        cid = _fresh_id(tokens)
-        roles = (UNDER, OVER) if order == "UO" else (OVER, UNDER)
-        pair = (Passage(cid, roles[0], sign), Passage(cid, roles[1], sign))
-        return _trusted(tokens[:pos] + pair + tokens[pos:])
+        return _insert(tokens, pos, _kink(_fresh_id(tokens), order, sign))
 
     if m.kind == R2_ADD:
         pos1 = _check_pos(m, "pos1", n, allow_end=True)
@@ -202,39 +201,27 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
         role, eps = m["role"], m["eps"]
         if role not in (OVER, UNDER) or not _is_unit(eps):
             raise MoveError("bad R2Add parameters")
-        rr = UNDER if role == OVER else OVER
-        base = _fresh_id(tokens)
-        a, b = base, base + 1
-        block1 = (Passage(a, role, eps), Passage(b, role, -eps))
-        block2 = (Passage(b, rr, -eps), Passage(a, rr, eps))
-        out = list(tokens)
-        if pos1 <= pos2:
-            out[pos2:pos2] = block2
-            out[pos1:pos1] = block1
-        else:
-            out[pos1:pos1] = block1
-            out[pos2:pos2] = block2
-        return _trusted(tuple(out))
+        block1, block2 = _r2_blocks(_fresh_id(tokens), role, eps)
+        return _insert(tokens, pos1, block1, pos2, block2)
 
     if m.kind == DL_PAIR_ADD:
         pos = _check_pos(m, "pos", n, allow_end=True)
         sign = m["sign"]
         if not _is_unit(sign):
             raise MoveError("bad DlPairAdd5 sign")
-        pair = (DoubleLine(sign), DoubleLine(-sign))
-        return _trusted(tokens[:pos] + pair + tokens[pos:])
+        return _insert(tokens, pos, _line_pair(sign))
 
     if m.kind == CROSSING_CHANGE:
         chirality = m["chirality"] if _has(m, "chirality") else 1
         if not _is_unit(chirality):
             raise MoveError("bad CrossingChange chirality")
-        return _map_crossing(d, m["crossing_id"], lambda t: flip_passage(t, 1, chirality))
+        return _map_crossing(tokens, _passages_of(tokens, m["crossing_id"]), m.kind, chirality)
 
     if m.kind == CROSSING_SLIDING:
         s = m["direction"]
         if not _is_unit(s):
             raise MoveError("bad CrossingSliding direction")
-        return _map_crossing(d, m["crossing_id"], lambda t: hug(t, 1, s))
+        return _map_crossing(tokens, _passages_of(tokens, m["crossing_id"]), m.kind, s)
 
     raise MoveError(f"unknown move kind {m.kind!r}")
 
@@ -243,36 +230,128 @@ def _has(m: MoveInstance, key: str) -> bool:
     return any(k == key for k, _ in m.params)
 
 
-def hug(t: Token, pairs: int, s: int = 1) -> list[Token]:
+def hug(t: Token, pairs: int, s: int = 1) -> tuple[Token, ...]:
     """``t`` between ``pairs`` double lines of sign ``s`` and ``pairs`` of sign ``-s``."""
-    return [DoubleLine(s)] * pairs + [t] + [DoubleLine(-s)] * pairs
+    return (DoubleLine(s),) * pairs + (t,) + (DoubleLine(-s),) * pairs
 
 
-def flip_passage(t: Passage, pairs: int, chirality: int = 1) -> list[Token]:
+def flip_passage(t: Passage, pairs: int, chirality: int = 1) -> tuple[Token, ...]:
     """A passage after a crossing change: the role swaps and the crossing
     sign flips; ``pairs`` +/- pairs hug the new Under (chirality +1) or,
     with the signs reversed, the new Over (chirality -1)."""
     flipped = Passage(t.crossing_id, UNDER if t.role == OVER else OVER, -t.sign)
     if flipped.role == (UNDER if chirality == 1 else OVER):
         return hug(flipped, pairs, chirality)
-    return [flipped]
+    return (flipped,)
 
 
-def _map_crossing(d: DlDiagram, cid: int, f) -> DlDiagram:
-    """Replace each passage of crossing ``cid`` by the tokens ``f`` gives for it."""
-    if type(cid) is not int:
-        raise MoveError(f"unknown crossing id {cid!r}")
-    out: list[Token] = []
-    for t in d.tokens:
-        if isinstance(t, Passage) and t.crossing_id == cid:
-            out.extend(f(t))
-        else:
-            out.append(t)
-    # Both crossing moves insert double lines: an unchanged length means
-    # that no passage matched.
-    if len(out) == len(d.tokens):
-        raise MoveError(f"unknown crossing id {cid!r}")
+# The blocks the insertion moves put into the word.
+
+
+def _kink(cid: int, order: str, sign: int) -> tuple[Passage, Passage]:
+    """R1Add's passage pair: crossing ``cid``, its roles in ``order``."""
+    roles = (UNDER, OVER) if order == "UO" else (OVER, UNDER)
+    return (Passage(cid, roles[0], sign), Passage(cid, roles[1], sign))
+
+
+def _r2_blocks(a: int, role: str, eps: int) -> tuple[tuple[Passage, ...], tuple[Passage, ...]]:
+    """R2Add's two blocks: crossings ``a`` and ``a + 1``, of role ``role``
+    in the first block and of the other role in the second."""
+    rr = UNDER if role == OVER else OVER
+    b = a + 1
+    return (
+        (Passage(a, role, eps), Passage(b, role, -eps)),
+        (Passage(b, rr, -eps), Passage(a, rr, eps)),
+    )
+
+
+def _line_pair(sign: int) -> tuple[DoubleLine, DoubleLine]:
+    """DlPairAdd5's two double lines."""
+    return (DoubleLine(sign), DoubleLine(-sign))
+
+
+# The child builders, shared by ``apply`` and ``successors``.  Each slices
+# the parent tuple; its input is a site or parameter already checked.
+
+
+def _insert(
+    tokens: tuple[Token, ...],
+    pos: int,
+    block: tuple[Token, ...],
+    pos2: int = 0,
+    block2: tuple[Token, ...] = (),
+) -> DlDiagram:
+    """``tokens`` with ``block`` inserted before the token at ``pos`` and
+    ``block2`` (none by default) before the token at ``pos2``; at one
+    position, ``block`` goes first."""
+    if pos <= pos2:
+        return _trusted(tokens[:pos] + block + tokens[pos:pos2] + block2 + tokens[pos2:])
+    return _trusted(tokens[:pos2] + block2 + tokens[pos2:pos] + block + tokens[pos:])
+
+
+def _delete(tokens: tuple[Token, ...], sites: Sequence[int]) -> DlDiagram:
+    """``tokens`` without the pairs at ``sites``, which do not overlap."""
+    n = len(tokens)
+    out: tuple[Token, ...] = ()
+    last = 0
+    for i in sorted(q % n for p in sites for q in (p, p + 1)):
+        out += tokens[last:i]
+        last = i + 1
+    return _trusted(out + tokens[last:])
+
+
+def _swap(tokens: tuple[Token, ...], sites: Sequence[int]) -> DlDiagram:
+    """``tokens`` with the two tokens of each pair at ``sites`` swapped."""
+    n = len(tokens)
+    out = list(tokens)
+    for i in sites:
+        j = (i + 1) % n
+        out[i], out[j] = out[j], out[i]
     return _trusted(tuple(out))
+
+
+def _map_crossing(
+    tokens: tuple[Token, ...], where: Sequence[int], kind: str, s: int
+) -> DlDiagram:
+    """CrossingChange of chirality ``s`` or CrossingSliding of direction
+    ``s`` (``kind``) at the crossing whose passages sit at ``where``, in
+    increasing order: each passage is replaced by the tokens ``flip_passage``
+    or ``hug`` gives for it."""
+    f = flip_passage if kind == CROSSING_CHANGE else hug
+    i, j = where
+    return _trusted(
+        tokens[:i] + f(tokens[i], 1, s) + tokens[i + 1 : j] + f(tokens[j], 1, s) + tokens[j + 1 :]
+    )
+
+
+def _passages_of(tokens: tuple[Token, ...], cid: object) -> list[int]:
+    """The positions of crossing ``cid``'s two passages."""
+    where = []
+    if type(cid) is int:
+        where = [i for i, t in enumerate(tokens) if isinstance(t, Passage) and t.crossing_id == cid]
+    if not where:
+        raise MoveError(f"unknown crossing id {cid!r}")
+    return where
+
+
+def _pair_kind(a: Token, b: Token) -> str | None:
+    """The one-site move whose pattern the adjacent pair ``a b`` forms, if
+    any: R1Remove, the two passages of one crossing; DlSlide4, a passage and
+    a double line; DlPairCancel5, two double lines of opposite signs."""
+    if isinstance(a, Passage):
+        if isinstance(b, Passage):
+            return R1_REMOVE if a.crossing_id == b.crossing_id else None
+        return DL_SLIDE
+    if isinstance(b, Passage):
+        return DL_SLIDE
+    return DL_PAIR_CANCEL if a.sign != b.sign else None
+
+
+_PAIR_ERRORS = {
+    R1_REMOVE: "no kink pair at site",
+    DL_SLIDE: "need one passage and one double line",
+    DL_PAIR_CANCEL: "no adjacent opposite pair at site",
+}
 
 
 def _site_error(tokens: tuple[Token, ...], kind: str, sites: Sequence[int]) -> str | None:
@@ -282,21 +361,10 @@ def _site_error(tokens: tuple[Token, ...], kind: str, sites: Sequence[int]) -> s
     whether the pairs overlap."""
     n = len(tokens)
     ts = [tokens[q % n] for p in sites for q in (p, p + 1)]
-    if kind == DL_SLIDE:
-        a, b = ts
-        if isinstance(a, DoubleLine) == isinstance(b, DoubleLine):
-            return "need one passage and one double line"
-        return None
-    if kind == DL_PAIR_CANCEL:
-        a, b = ts
-        if isinstance(a, DoubleLine) and isinstance(b, DoubleLine) and a.sign == -b.sign:
-            return None
-        return "no adjacent opposite pair at site"
+    if kind in _PAIR_ERRORS:
+        return None if _pair_kind(*ts) == kind else _PAIR_ERRORS[kind]
     if not all(isinstance(t, Passage) for t in ts):
         return "site tokens are not passages"
-    if kind == R1_REMOVE:
-        a, b = ts
-        return None if a.crossing_id == b.crossing_id else "no kink pair at site"
     if kind == R2_REMOVE:
         x, y, y2, x2 = ts
         if not (
@@ -325,69 +393,87 @@ def _site_error(tokens: tuple[Token, ...], kind: str, sites: Sequence[int]) -> s
     return None
 
 
-def enumerate_moves(d: DlDiagram, kinds: Iterable[str] = ALL_KINDS) -> list[MoveInstance]:
-    """All applicable instances of the requested kinds, in deterministic order."""
+def successors(
+    d: DlDiagram, kinds: Iterable[str] = ALL_KINDS
+) -> list[tuple[MoveInstance, DlDiagram]]:
+    """Every applicable instance of the requested kinds with its child, in
+    deterministic order: the kinds sorted, then each kind's sites.
+
+    One walk classifies every adjacent pair and finds each crossing's
+    passages; the fresh crossing id and the inserted blocks are made once.
+    Each child comes from the builder that ``apply`` uses for its kind.
+    """
     tokens = d.tokens
     n = len(tokens)
-    out: list[MoveInstance] = []
+    where: dict[int, list[int]] = {}
+    one_site: dict[str, list[int]] = {R1_REMOVE: [], DL_SLIDE: [], DL_PAIR_CANCEL: []}
+    adj: list[int] = []  # sites of two passages of different crossings
+    for p, (a, b) in enumerate(zip(tokens, tokens[1:] + tokens[:1])):
+        if isinstance(a, Passage):
+            where.setdefault(a.crossing_id, []).append(p)
+        kind = _pair_kind(a, b)
+        if kind is None and isinstance(a, Passage):
+            adj.append(p)  # b is a passage of another crossing
+        elif kind and not (n == 2 and p == 1):  # on 2 tokens, site 1 is site 0's pair
+            one_site[kind].append(p)
+    fresh = _fresh_id(tokens)
     ins_positions = range(max(n, 1))
-    # On a 2-token word, pos 1 names the same pair as pos 0.
-    pair_positions = range(1 if n == 2 else n)
+    # The insertion kinds give most children: their parameters are written
+    # in name order, as ``mk`` sorts them, without the sort.
+    out: list[tuple[MoveInstance, DlDiagram]] = []
 
     for kind in sorted(kinds):
-        if kind == R1_ADD:
+        if kind in one_site:
+            build = _swap if kind in _SWAP_KINDS else _delete
+            out += [(mk(kind, pos=p), build(tokens, (p,))) for p in one_site[kind]]
+        elif kind == R1_ADD:
+            kinks = [(o, s, _kink(fresh, o, s)) for o in ("OU", "UO") for s in (1, -1)]
             for pos in ins_positions:
-                for order in ("OU", "UO"):
-                    for sign in (1, -1):
-                        out.append(mk(R1_ADD, pos=pos, order=order, sign=sign))
-        elif kind in (R1_REMOVE, DL_SLIDE, DL_PAIR_CANCEL):
-            for pos in pair_positions:
-                if _site_error(tokens, kind, (pos,)) is None:
-                    out.append(mk(kind, pos=pos))
+                for order, sign, block in kinks:
+                    m = MoveInstance(R1_ADD, (("order", order), ("pos", pos), ("sign", sign)))
+                    out.append((m, _insert(tokens, pos, block)))
         elif kind == R2_ADD:
+            blocks = [(r, e, _r2_blocks(fresh, r, e)) for r in (OVER, UNDER) for e in (1, -1)]
             for pos1 in ins_positions:
                 for pos2 in ins_positions:
-                    for role in ("O", "U"):
-                        for eps in (1, -1):
-                            out.append(mk(R2_ADD, pos1=pos1, pos2=pos2, role=role, eps=eps))
+                    for role, eps, (block1, block2) in blocks:
+                        params = (("eps", eps), ("pos1", pos1), ("pos2", pos2), ("role", role))
+                        m = MoveInstance(R2_ADD, params)
+                        out.append((m, _insert(tokens, pos1, block1, pos2, block2)))
         elif kind == R2_REMOVE:
-            # The second site ends at the partner of tokens[pos1], which
-            # sits at its crossing's position sum less pos1, so each pos1
-            # has one candidate pos2.  The pattern is symmetric in its two
-            # sites, so a pair is found from its smaller site.
-            position_sums: dict[int, int] = {}
-            for i, t in enumerate(tokens):
-                if isinstance(t, Passage):
-                    position_sums[t.crossing_id] = position_sums.get(t.crossing_id, 0) + i
-            for pos1, t in enumerate(tokens):
-                if isinstance(t, Passage):
-                    pos2 = (position_sums[t.crossing_id] - pos1 - 1) % n
-                    if pos1 < pos2 and _site_error(tokens, R2_REMOVE, (pos1, pos2)) is None:
-                        out.append(mk(R2_REMOVE, pos1=pos1, pos2=pos2))
+            # The second site ends at the partner of tokens[pos1], so each
+            # pos1 has one candidate pos2.  The pattern is symmetric in its
+            # two sites, so a pair is found from its smaller site.
+            for pos1 in adj:
+                pos2 = (sum(where[tokens[pos1].crossing_id]) - pos1 - 1) % n
+                if pos1 < pos2 and _site_error(tokens, R2_REMOVE, (pos1, pos2)) is None:
+                    out.append((mk(R2_REMOVE, pos1=pos1, pos2=pos2), _delete(tokens, (pos1, pos2))))
         elif kind == R3:
-            adj = [
-                p
-                for p in range(n)
-                if isinstance(_cyc(tokens, p), Passage) and isinstance(_cyc(tokens, p + 1), Passage)
-            ]
             for sites in combinations(adj, 3):
                 if _site_error(tokens, R3, sites) is None:
-                    out.append(mk(R3, pos1=sites[0], pos2=sites[1], pos3=sites[2]))
+                    m = mk(R3, pos1=sites[0], pos2=sites[1], pos3=sites[2])
+                    out.append((m, _swap(tokens, sites)))
         elif kind == DL_PAIR_ADD:
+            pairs = [(s, _line_pair(s)) for s in (1, -1)]
             for pos in ins_positions:
-                for sign in (1, -1):
-                    out.append(mk(DL_PAIR_ADD, pos=pos, sign=sign))
-        elif kind == CROSSING_CHANGE:
-            for cid in d.crossing_ids:
-                for chirality in (1, -1):
-                    out.append(mk(CROSSING_CHANGE, crossing_id=cid, chirality=chirality))
-        elif kind == CROSSING_SLIDING:
-            for cid in d.crossing_ids:
+                for sign, block in pairs:
+                    m = MoveInstance(DL_PAIR_ADD, (("pos", pos), ("sign", sign)))
+                    out.append((m, _insert(tokens, pos, block)))
+        elif kind in (CROSSING_CHANGE, CROSSING_SLIDING):
+            key = "chirality" if kind == CROSSING_CHANGE else "direction"
+            for cid in sorted(where):
                 for s in (1, -1):
-                    out.append(mk(CROSSING_SLIDING, crossing_id=cid, direction=s))
+                    m = mk(kind, crossing_id=cid, **{key: s})
+                    out.append((m, _map_crossing(tokens, where[cid], kind, s)))
         else:
             raise MoveError(f"unknown move kind {kind!r}")
     return out
+
+
+def enumerate_moves(d: DlDiagram, kinds: Iterable[str] = ALL_KINDS) -> list[MoveInstance]:
+    """All applicable instances of the requested kinds, in the order of
+    ``successors``."""
+    return [m for m, _ in successors(d, kinds)]
 
 
 def invert(m: MoveInstance, context: DlDiagram) -> list[MoveInstance]:

@@ -1,12 +1,13 @@
 """Bounded breadth-first equivalence search over the move graph.
 
 The move graph is infinite, so the search is bounded by a maximum number
-of moves and a maximum token length.  A state is expanded only with the
-move kinds whose growth (``moves.GROWTH``) fits the length bound, so no
-child over the bound is built; states are deduplicated on
-``canonical_key``.  A hit comes with a replayable trace; a miss means
-only that the target is not reachable within the bounds, or that the
-degrees differ.
+of moves and a maximum token length.  A state is expanded once, by
+``moves.successors``, and only with the move kinds whose growth
+(``moves.GROWTH``) fits the length bound, so no child over the bound is
+built; states are deduplicated on ``canonical_key``.  Children at the
+last depth are keyed and counted but not queued.  A hit comes with a
+replayable trace; a miss means only that the target is not reachable
+within the bounds, or that the degrees differ.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .diagram import DlDiagram, canonical_key, degree
-from .moves import ALL_KINDS, GROWTH, MoveInstance, MoveTrace, apply, enumerate_moves
+from .moves import ALL_KINDS, GROWTH, MoveInstance, MoveTrace, successors
 
 
 @dataclass(frozen=True)
@@ -53,17 +54,16 @@ def bfs_search(
         return SearchResult(True, MoveTrace(start, ()), 1, max_moves, max_len)
 
     seen = {start_key}
-    queue: deque[tuple[DlDiagram, tuple[MoveInstance, ...]]] = deque([(start, ())])
+    queue: deque[tuple[DlDiagram, tuple[MoveInstance, ...]]] = deque()
+    if max_moves:
+        queue.append((start, ()))
     explored = 1
     while queue:
         d, path = queue.popleft()
-        if len(path) >= max_moves:
-            continue
         room = max_len - len(d.tokens)
-        # An unknown kind passes, so that enumerate_moves reports it.
+        # An unknown kind passes, so that successors reports it.
         fitting = [k for k in kinds if GROWTH.get(k, room) <= room]
-        for m in enumerate_moves(d, fitting):
-            nxt = apply(d, m)
+        for m, nxt in successors(d, fitting):
             key = canonical_key(nxt)
             if key in seen:
                 continue
@@ -72,5 +72,7 @@ def bfs_search(
             new_path = path + (m,)
             if key == goal:
                 return SearchResult(True, MoveTrace(start, new_path), explored, max_moves, max_len)
-            queue.append((nxt, new_path))
+            # A child at the last depth is keyed and counted, not expanded.
+            if len(new_path) < max_moves:
+                queue.append((nxt, new_path))
     return SearchResult(False, None, explored, max_moves, max_len)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import dlknot as dl
 from dlknot.diagram import DiagramError, DlDiagram, DoubleLine, Passage, read_tokens
 from dlknot.moves import (
+    ALL_KINDS,
     CROSSING_CHANGE,
     CROSSING_SLIDING,
     DL_PAIR_ADD,
@@ -29,6 +30,7 @@ from dlknot.moves import (
     _site_error,
     invert,
     mk,
+    successors,
 )
 
 from conftest import random_degree_zero, random_diagram
@@ -120,6 +122,46 @@ class TestApply:
             dl.apply(dl.parse("U1+ O1+"), move)
 
 
+def candidate_moves(d, kind):
+    """Every parameter tuple of ``kind`` on ``d``, in enumeration order:
+    increasing site tuples for the pattern kinds, and one site on a
+    2-token word, whose site 1 names the same pair as site 0."""
+    n = len(d.tokens)
+    ins = range(max(n, 1))
+    sites = range(1 if n == 2 else n)
+    if kind == R1_ADD:
+        return [
+            mk(kind, pos=p, order=o, sign=s) for p in ins for o in ("OU", "UO") for s in (1, -1)
+        ]
+    if kind == R2_ADD:
+        return [
+            mk(kind, pos1=p, pos2=q, role=r, eps=e)
+            for p in ins for q in ins for r in "OU" for e in (1, -1)
+        ]
+    if kind == DL_PAIR_ADD:
+        return [mk(kind, pos=p, sign=s) for p in ins for s in (1, -1)]
+    if kind in (R1_REMOVE, DL_SLIDE, DL_PAIR_CANCEL):
+        return [mk(kind, pos=p) for p in sites]
+    if kind == R2_REMOVE:
+        return [mk(kind, pos1=p, pos2=q) for p, q in combinations(range(n), 2)]
+    if kind == R3:
+        return [mk(kind, pos1=p, pos2=q, pos3=r) for p, q, r in combinations(range(n), 3)]
+    key = "chirality" if kind == CROSSING_CHANGE else "direction"
+    return [mk(kind, crossing_id=c, **{key: s}) for c in d.crossing_ids for s in (1, -1)]
+
+
+def reference_successors(d, kind):
+    """Reference for ``successors``: each candidate that ``apply`` accepts,
+    with ``apply``'s child."""
+    out = []
+    for m in candidate_moves(d, kind):
+        try:
+            out.append((m, dl.apply(d, m)))
+        except MoveError:
+            pass
+    return out
+
+
 class TestEnumerate:
     def test_trivial_no_cancel(self):
         assert dl.enumerate_moves(dl.parse(""), {DL_PAIR_CANCEL}) == []
@@ -139,41 +181,17 @@ class TestEnumerate:
             for m in dl.enumerate_moves(d, dl.ALL_KINDS):
                 dl.apply(d, m)  # must not raise
 
-    # The pattern kinds and their site parameters.
-    SITE_KEYS = {
-        R1_REMOVE: ("pos",),
-        DL_SLIDE: ("pos",),
-        DL_PAIR_CANCEL: ("pos",),
-        R2_REMOVE: ("pos1", "pos2"),
-        R3: ("pos1", "pos2", "pos3"),
-    }
-
-    @staticmethod
-    def trial_sites(d, kind, keys):
-        """Reference: every increasing tuple of sites where ``apply``
-        accepts ``kind``, found by trying each one."""
-        n = len(d.tokens)
-        found = []
-        for sites in combinations(range(n), len(keys)):
-            if n == 2 and sites == (1,):
-                continue  # names the same pair as pos 0
-            m = mk(kind, **dict(zip(keys, sites)))
-            try:
-                dl.apply(d, m)
-            except MoveError:
-                continue
-            found.append(m)
-        return found
+    SITE_KINDS = (R1_REMOVE, DL_SLIDE, DL_PAIR_CANCEL, R2_REMOVE, R3)
 
     def test_pattern_sites_complete(self, rng):
         hits = Counter()
         for _ in range(200):
             d = random_diagram(rng, max_crossings=5, max_double_lines=5)
-            for kind, keys in self.SITE_KEYS.items():
-                expect = self.trial_sites(d, kind, keys)
+            for kind in self.SITE_KINDS:
+                expect = [m for m, _ in reference_successors(d, kind)]
                 assert dl.enumerate_moves(d, {kind}) == expect, (kind, dl.serialize(d))
                 hits[kind] += len(expect)
-        assert all(hits[kind] for kind in self.SITE_KEYS), hits
+        assert all(hits[kind] for kind in self.SITE_KINDS), hits
 
     def test_r2_remove_matches_pair_scan(self, rng):
         """Reference: the scan of every pair of sites that the partner
@@ -209,9 +227,28 @@ class TestEnumerate:
         assert dl.enumerate_moves(d, dl.ALL_KINDS) == dl.enumerate_moves(d, dl.ALL_KINDS)
 
 
+class TestSuccessors:
+    def test_matches_apply_reference(self, rng):
+        hits = Counter()
+        for _ in range(2000):
+            d = random_diagram(rng, max_crossings=4, max_double_lines=6)
+            every = []
+            for kind in sorted(ALL_KINDS):
+                expect = reference_successors(d, kind)
+                assert successors(d, {kind}) == expect, (kind, dl.serialize(d))
+                every += expect
+                hits[kind] += len(expect)
+            assert successors(d, ALL_KINDS) == every, dl.serialize(d)
+        assert set(hits) == ALL_KINDS and all(hits.values()), hits
+
+    def test_unknown_kind(self):
+        with pytest.raises(MoveError, match="unknown move kind"):
+            successors(dl.parse("U1+ O1+"), {R1_REMOVE, "Nope"})
+
+
 def assert_valid(child):
-    """``apply`` builds its outputs without the check that ``DlDiagram``
-    runs (``_validate``): they must pass it all the same."""
+    """``apply`` and ``successors`` build their children without the check
+    that ``DlDiagram`` runs (``_validate``): they must pass it all the same."""
     assert type(child.tokens) is tuple
     assert DlDiagram(child.tokens) == child
 
@@ -221,8 +258,8 @@ class TestOutputsValid:
         kinds = Counter()
         for _ in range(2000):
             d = random_diagram(rng, max_crossings=3, max_double_lines=2)
-            for m in dl.enumerate_moves(d, dl.ALL_KINDS):
-                assert_valid(dl.apply(d, m))
+            for m, child in successors(d, dl.ALL_KINDS):
+                assert_valid(child)
                 kinds[m.kind] += 1
         assert set(kinds) == dl.ALL_KINDS, kinds
 
