@@ -18,12 +18,13 @@ each pair.  ``_site_error`` holds the pattern test for all five; the three
 one-site patterns are one pair test, ``_pair_kind``.
 
 ``successors`` lists every applicable instance with its child: one walk
-classifies every adjacent pair with ``_pair_kind``, and only R2Remove and
-R3 candidates go through ``_site_error``.  ``enumerate_moves`` is its list
-of moves.  ``apply`` checks every parameter and site of a move from
-outside (a trace, the CLI, a caller) and then builds the child with the
-same builder as ``successors``: one each to insert, delete pairs, swap
-pairs, and replace a crossing's passages.
+classifies every adjacent pair with ``_pair_kind``, only R2Remove and R3
+candidates go through ``_site_error``, and other parameters run over the
+one table of their values, ``VALUES``.  ``enumerate_moves`` is its list
+of moves.  ``apply`` checks every site and parameter of a move from
+outside (a trace, the CLI, a caller) by the same rules and then builds
+the child with the same builder as ``successors``: one each to insert,
+delete pairs, swap pairs, and replace a crossing's passages.
 """
 
 from __future__ import annotations
@@ -73,6 +74,14 @@ PARAMS = {
 }
 ALL_KINDS = frozenset(PARAMS)
 
+# The values of each parameter that is neither a position nor a crossing
+# id, in the order ``successors`` tries them.
+VALUES = {
+    "order": ("OU", "UO"),
+    "role": (OVER, UNDER),
+    **dict.fromkeys(("sign", "eps", "chirality", "direction"), (1, -1)),
+}
+
 # The number of tokens each kind adds to the word, exact for every instance.
 GROWTH = {
     R1_ADD: 2,
@@ -111,6 +120,8 @@ class MoveInstance:
         for k, v in self.params:
             if k == key:
                 return v
+        if key == "chirality" and self.kind == CROSSING_CHANGE:
+            return 1  # the one parameter that may be left out
         raise MoveError(f"{self.kind} is missing parameter {key!r}")
 
     def to_line(self) -> str:
@@ -147,8 +158,7 @@ def _read_move(kind: str, params: dict) -> MoveInstance:
     extra = params.keys() - PARAMS.get(kind, params)
     if extra:
         for k in PARAMS[kind]:
-            if k != "chirality":
-                m[k]  # raises MoveError if k is missing
+            m[k]  # raises MoveError if k is missing
         raise MoveError(f"{kind} takes no parameter {min(extra)!r}")
     return m
 
@@ -158,21 +168,10 @@ def _fresh_id(tokens: tuple[Token, ...]) -> int:
     return max(ids, default=0) + 1
 
 
-def _cyc(tokens: tuple[Token, ...], i: int) -> Token:
-    return tokens[i % len(tokens)]
-
-
-def _is_unit(v: object) -> bool:
-    """``v`` is the integer 1 or -1; ``True`` does not count."""
-    return type(v) is int and v in (1, -1)
-
-
-def _check_pos(m: MoveInstance, key: str, n: int, allow_end: bool = False) -> int:
-    pos = m[key]
+def _check_pos(key: str, pos: object, n: int, allow_end: bool) -> None:
     hi = n if allow_end else n - 1
     if not (type(pos) is int and 0 <= pos <= hi):
         raise MoveError(f"{key}={pos!r} out of range for {n} tokens")
-    return pos
 
 
 def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
@@ -180,54 +179,41 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
     pattern mismatch.  The child is built as ``successors`` builds it."""
     tokens = d.tokens
     n = len(tokens)
+    kind = m.kind
+    if kind not in PARAMS:
+        raise MoveError(f"unknown move kind {kind!r}")
 
-    if m.kind in _SITE_KINDS:
-        sites = [_check_pos(m, k, n) for k in PARAMS[m.kind]]
-        why = _site_error(tokens, m.kind, sites)
+    # A site is a token position, an insertion position may also be the end,
+    # and a valued parameter is one of its VALUES by type too: True is not 1.
+    vals = []
+    for key in PARAMS[kind]:
+        v = m[key]
+        if key in VALUES:
+            allowed = VALUES[key]
+            if type(v) is not type(allowed[0]) or v not in allowed:
+                raise MoveError(f"bad {kind} {key}")
+        elif key != "crossing_id":
+            _check_pos(key, v, n, allow_end=kind not in _SITE_KINDS)
+        vals.append(v)
+
+    if kind in _SITE_KINDS:
+        why = _site_error(tokens, kind, vals)
         if why:
-            raise MoveError(f"{m.kind}: {why}")
-        return (_swap if m.kind in _SWAP_KINDS else _delete)(tokens, sites)
-
-    if m.kind == R1_ADD:
-        pos = _check_pos(m, "pos", n, allow_end=True)
-        order, sign = m["order"], m["sign"]
-        if order not in ("UO", "OU") or not _is_unit(sign):
-            raise MoveError("bad R1Add parameters")
+            raise MoveError(f"{kind}: {why}")
+        return (_swap if kind in _SWAP_KINDS else _delete)(tokens, vals)
+    if kind == R1_ADD:
+        order, pos, sign = vals
         return _insert(tokens, pos, _kink(_fresh_id(tokens), order, sign))
-
-    if m.kind == R2_ADD:
-        pos1 = _check_pos(m, "pos1", n, allow_end=True)
-        pos2 = _check_pos(m, "pos2", n, allow_end=True)
-        role, eps = m["role"], m["eps"]
-        if role not in (OVER, UNDER) or not _is_unit(eps):
-            raise MoveError("bad R2Add parameters")
+    if kind == R2_ADD:
+        eps, pos1, pos2, role = vals
         block1, block2 = _r2_blocks(_fresh_id(tokens), role, eps)
         return _insert(tokens, pos1, block1, pos2, block2)
-
-    if m.kind == DL_PAIR_ADD:
-        pos = _check_pos(m, "pos", n, allow_end=True)
-        sign = m["sign"]
-        if not _is_unit(sign):
-            raise MoveError("bad DlPairAdd5 sign")
+    if kind == DL_PAIR_ADD:
+        pos, sign = vals
         return _insert(tokens, pos, _line_pair(sign))
-
-    if m.kind == CROSSING_CHANGE:
-        chirality = m["chirality"] if _has(m, "chirality") else 1
-        if not _is_unit(chirality):
-            raise MoveError("bad CrossingChange chirality")
-        return _map_crossing(tokens, _passages_of(tokens, m["crossing_id"]), m.kind, chirality)
-
-    if m.kind == CROSSING_SLIDING:
-        s = m["direction"]
-        if not _is_unit(s):
-            raise MoveError("bad CrossingSliding direction")
-        return _map_crossing(tokens, _passages_of(tokens, m["crossing_id"]), m.kind, s)
-
-    raise MoveError(f"unknown move kind {m.kind!r}")
-
-
-def _has(m: MoveInstance, key: str) -> bool:
-    return any(k == key for k, _ in m.params)
+    # CrossingChange takes (chirality, crossing_id); CrossingSliding, reversed.
+    s, cid = vals if kind == CROSSING_CHANGE else vals[::-1]
+    return _map_crossing(tokens, _passages_of(tokens, cid), kind, s)
 
 
 def hug(t: Token, pairs: int, s: int = 1) -> tuple[Token, ...]:
@@ -250,8 +236,7 @@ def flip_passage(t: Passage, pairs: int, chirality: int = 1) -> tuple[Token, ...
 
 def _kink(cid: int, order: str, sign: int) -> tuple[Passage, Passage]:
     """R1Add's passage pair: crossing ``cid``, its roles in ``order``."""
-    roles = (UNDER, OVER) if order == "UO" else (OVER, UNDER)
-    return (Passage(cid, roles[0], sign), Passage(cid, roles[1], sign))
+    return (Passage(cid, order[0], sign), Passage(cid, order[1], sign))
 
 
 def _r2_blocks(a: int, role: str, eps: int) -> tuple[tuple[Passage, ...], tuple[Passage, ...]]:
@@ -427,13 +412,13 @@ def successors(
             build = _swap if kind in _SWAP_KINDS else _delete
             out += [(mk(kind, pos=p), build(tokens, (p,))) for p in one_site[kind]]
         elif kind == R1_ADD:
-            kinks = [(o, s, _kink(fresh, o, s)) for o in ("OU", "UO") for s in (1, -1)]
+            kinks = [(o, s, _kink(fresh, o, s)) for o in VALUES["order"] for s in VALUES["sign"]]
             for pos in ins_positions:
                 for order, sign, block in kinks:
                     m = MoveInstance(R1_ADD, (("order", order), ("pos", pos), ("sign", sign)))
                     out.append((m, _insert(tokens, pos, block)))
         elif kind == R2_ADD:
-            blocks = [(r, e, _r2_blocks(fresh, r, e)) for r in (OVER, UNDER) for e in (1, -1)]
+            blocks = [(r, e, _r2_blocks(fresh, r, e)) for r in VALUES["role"] for e in VALUES["eps"]]
             for pos1 in ins_positions:
                 for pos2 in ins_positions:
                     for role, eps, (block1, block2) in blocks:
@@ -454,7 +439,7 @@ def successors(
                     m = mk(R3, pos1=sites[0], pos2=sites[1], pos3=sites[2])
                     out.append((m, _swap(tokens, sites)))
         elif kind == DL_PAIR_ADD:
-            pairs = [(s, _line_pair(s)) for s in (1, -1)]
+            pairs = [(s, _line_pair(s)) for s in VALUES["sign"]]
             for pos in ins_positions:
                 for sign, block in pairs:
                     m = MoveInstance(DL_PAIR_ADD, (("pos", pos), ("sign", sign)))
@@ -462,7 +447,7 @@ def successors(
         elif kind in (CROSSING_CHANGE, CROSSING_SLIDING):
             key = "chirality" if kind == CROSSING_CHANGE else "direction"
             for cid in sorted(where):
-                for s in (1, -1):
+                for s in VALUES[key]:
                     m = mk(kind, crossing_id=cid, **{key: s})
                     out.append((m, _map_crossing(tokens, where[cid], kind, s)))
         else:
@@ -478,96 +463,49 @@ def enumerate_moves(d: DlDiagram, kinds: Iterable[str] = ALL_KINDS) -> list[Move
 
 def invert(m: MoveInstance, context: DlDiagram) -> list[MoveInstance]:
     """A move sequence undoing ``m``: applying it to ``apply(context, m)``
-    restores ``context`` (up to canonical equality for the composite kinds)."""
+    restores ``context`` up to canonical equality, for every kind.  A
+    re-added crossing gets a fresh id, and a deleted pair that crossed the
+    end of the word goes back at the end, a rotation of ``context``."""
     after = apply(context, m)
-    n_after = len(after.tokens)
-
-    if m.kind == R1_ADD:
-        return [mk(R1_REMOVE, pos=m["pos"])]
-    if m.kind == R1_REMOVE:
-        n = len(context.tokens)
-        pos = m["pos"] % n
-        a = context.tokens[pos]
-        b = _cyc(context.tokens, pos + 1)
-        assert isinstance(a, Passage) and isinstance(b, Passage)
-        order = "UO" if a.role == UNDER else "OU"
-        # A pair wrapping the end of the word is re-appended at the end,
-        # which restores the original up to rotation.
-        ins = pos if (pos + 1) % n != 0 else n_after
-        return [mk(R1_ADD, pos=ins, order=order, sign=a.sign)]
-    if m.kind == R2_ADD:
-        pos1, pos2 = m["pos1"], m["pos2"]
-        if pos1 <= pos2:
-            return [mk(R2_REMOVE, pos1=pos1, pos2=pos2 + 2)]
-        return [mk(R2_REMOVE, pos1=pos1 + 2, pos2=pos2)]
-    if m.kind == R2_REMOVE:
-        n = len(context.tokens)
-        pos1, pos2 = m["pos1"] % n, m["pos2"] % n
-        first = context.tokens[pos1]
-        assert isinstance(first, Passage)
-        # Insertion indices into the reduced word.
-        removed = sorted([pos1, (pos1 + 1) % n, pos2, (pos2 + 1) % n])
-        shift1 = sum(1 for r in removed if r < pos1)
-        shift2 = sum(1 for r in removed if r < pos2)
-        return [
-            mk(
-                R2_ADD,
-                pos1=pos1 - shift1,
-                pos2=pos2 - shift2,
-                role=first.role,
-                eps=first.sign,
-            )
-        ]
-    if m.kind in _SWAP_KINDS:
+    kind = m.kind
+    if kind in _SWAP_KINDS:
         return [m]  # a swap is its own inverse
-    if m.kind == DL_PAIR_ADD:
-        return [mk(DL_PAIR_CANCEL, pos=m["pos"])]
-    if m.kind == DL_PAIR_CANCEL:
-        n = len(context.tokens)
-        pos = m["pos"] % n
-        a = context.tokens[pos]
-        assert isinstance(a, DoubleLine)
-        ins = pos if (pos + 1) % n != 0 else n_after
-        return [mk(DL_PAIR_ADD, pos=ins, sign=a.sign)]
-    if m.kind == CROSSING_CHANGE:
-        cid = m["crossing_id"]
-        chirality = m["chirality"] if _has(m, "chirality") else 1
-        steps = [mk(CROSSING_CHANGE, crossing_id=cid, chirality=-chirality)]
-        cur = apply(after, steps[0])
-        # The two chirality variants hug the same passage slot with opposite
-        # pairs: the leftovers sit immediately before and after it.
-        anchor_role = OVER if chirality == 1 else UNDER
-        more, _ = _hug_cancels(cur, cid, anchor_role)
-        return steps + more
-    if m.kind == CROSSING_SLIDING:
-        cid = m["crossing_id"]
-        s = m["direction"]
-        steps = [mk(CROSSING_SLIDING, crossing_id=cid, direction=-s)]
-        cur = apply(after, steps[0])
-        for role in (UNDER, OVER):
-            more, cur = _hug_cancels(cur, cid, role)
-            steps.extend(more)
-        return steps
-    raise MoveError(f"unknown move kind {m.kind!r}")
+    if kind in (R1_ADD, DL_PAIR_ADD):
+        return [mk(R1_REMOVE if kind == R1_ADD else DL_PAIR_CANCEL, pos=m["pos"])]
+    if kind == R2_ADD:
+        # The later block sits 2 tokens on, past the earlier one.
+        pos1, pos2 = m["pos1"], m["pos2"]
+        return [mk(R2_REMOVE, pos1=pos1 + 2 * (pos1 > pos2), pos2=pos2 + 2 * (pos1 <= pos2))]
 
+    tokens = context.tokens
+    if kind in _SITE_KINDS:
+        # Each pair goes back at its first site less the deleted indices
+        # before it, so a pair at site n-1 goes back at the end.
+        n = len(tokens)
+        sites = [m[k] for k in PARAMS[kind]]
+        gone = sites + [(p + 1) % n for p in sites]
+        ins = [p - sum(q < p for q in gone) for p in sites]
+        first, second = tokens[sites[0]], tokens[(sites[0] + 1) % n]
+        if kind == R1_REMOVE:
+            return [mk(R1_ADD, pos=ins[0], order=first.role + second.role, sign=first.sign)]
+        if kind == DL_PAIR_CANCEL:
+            return [mk(DL_PAIR_ADD, pos=ins[0], sign=first.sign)]
+        return [mk(R2_ADD, pos1=ins[0], pos2=ins[1], role=first.role, eps=first.sign)]
 
-def _hug_cancels(
-    d: DlDiagram, cid: int, role: str
-) -> tuple[list[MoveInstance], DlDiagram]:
-    """Cancel the opposite pairs immediately before and after a passage.
-
-    A move pair and its undo leave the pattern D D P D D around the
-    passage; the two pairs sit at fixed offsets, so the cancel sites are
-    positional, not searched.
-    """
-    steps = []
-    cur = d
-    for offset in (-2, 1):
-        idx = cur.passage_index(cid, role)
-        step = mk(DL_PAIR_CANCEL, pos=(idx + offset) % len(cur.tokens))
-        steps.append(step)
-        cur = apply(cur, step)
-    return steps, cur
+    # CrossingChange or CrossingSliding: the opposite move leaves opposite
+    # pairs at offsets -2 and +1 around each passage hugged twice: the Over
+    # for chirality 1, the Under for -1, the Under then the Over for a slide.
+    key = "chirality" if kind == CROSSING_CHANGE else "direction"
+    cid, s = m["crossing_id"], m[key]
+    steps = [mk(kind, crossing_id=cid, **{key: -s})]
+    cur = apply(after, steps[0])
+    roles = (OVER if s == 1 else UNDER,) if kind == CROSSING_CHANGE else (UNDER, OVER)
+    for role in roles:
+        for offset in (-2, 1):
+            idx = cur.passage_index(cid, role)
+            steps.append(mk(DL_PAIR_CANCEL, pos=(idx + offset) % len(cur.tokens)))
+            cur = apply(cur, steps[-1])
+    return steps
 
 
 class ReplayError(ValueError):

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .diagram import DlDiagram, canonical_key, degree
-from .moves import ALL_KINDS, GROWTH, MoveInstance, MoveTrace, successors
+from .moves import ALL_KINDS, GROWTH, MoveError, MoveInstance, MoveTrace, successors
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,9 @@ def bfs_search(
     checks.  The essential count is not one: an R2Add can change it.
     Deterministic for fixed parameters.
     """
+    unknown = set(kinds) - ALL_KINDS
+    if unknown:
+        raise MoveError(f"unknown move kind {min(unknown)!r}")
     if max_moves < 0 or max_len < 0:
         raise ValueError(f"bounds must be non-negative: max_moves={max_moves}, max_len={max_len}")
     if check_invariants and degree(start) != degree(target):
@@ -61,8 +64,7 @@ def bfs_search(
     while queue:
         d, path = queue.popleft()
         room = max_len - len(d.tokens)
-        # An unknown kind passes, so that successors reports it.
-        fitting = [k for k in kinds if GROWTH.get(k, room) <= room]
+        fitting = [k for k in kinds if GROWTH[k] <= room]
         for m, nxt in successors(d, fitting):
             key = canonical_key(nxt)
             if key in seen:

@@ -26,6 +26,7 @@ from dlknot.moves import (
     MoveError,
     MoveInstance,
     MoveTrace,
+    VALUES,
     ReplayError,
     _site_error,
     invert,
@@ -85,6 +86,14 @@ class TestApply:
         assert dl.degree(out) == 0
         assert all(p.value == 0 for p in dl.parity_profile(out))
 
+    def test_chirality_defaults_to_one(self):
+        # CrossingChange's chirality is the one parameter that may be left out.
+        d = dl.parse("U1+ D- O1+ D+")
+        bare = MoveInstance.from_line("CrossingChange crossing_id=1")
+        full = mk(CROSSING_CHANGE, crossing_id=1, chirality=1)
+        assert dl.serialize(dl.apply(d, bare)) == dl.serialize(dl.apply(d, full))
+        assert invert(bare, d) == invert(full, d)
+
     def test_pattern_mismatch(self):
         with pytest.raises(MoveError):
             dl.apply(dl.parse("D+ D+"), mk(DL_PAIR_CANCEL, pos=0))
@@ -120,6 +129,29 @@ class TestApply:
     def test_booleans_rejected(self, move):
         with pytest.raises(MoveError):
             dl.apply(dl.parse("U1+ O1+"), move)
+
+    # A move that applies to ``U1+ O1+`` for each parameter in ``VALUES``.
+    VALUED = {
+        "order": mk(R1_ADD, pos=0, order="UO", sign=1),
+        "role": mk(R2_ADD, pos1=0, pos2=1, role="O", eps=1),
+        "sign": mk(DL_PAIR_ADD, pos=0, sign=1),
+        "eps": mk(R2_ADD, pos1=0, pos2=1, role="O", eps=1),
+        "chirality": mk(CROSSING_CHANGE, crossing_id=1, chirality=1),
+        "direction": mk(CROSSING_SLIDING, crossing_id=1, direction=1),
+    }
+
+    @pytest.mark.parametrize("key", sorted(VALUES))
+    def test_bad_values_rejected(self, key):
+        # A float, a string for an integer, and a value out of range: each
+        # is named by kind and parameter.
+        d = dl.parse("U1+ O1+")
+        good = self.VALUED[key]
+        dl.apply(d, good)
+        out_of_range = {"order": "OO", "role": "X"}.get(key, 2)
+        for bad in (1.0, "1", out_of_range):
+            m = MoveInstance(good.kind, tuple((k, bad if k == key else v) for k, v in good.params))
+            with pytest.raises(MoveError, match=f"^bad {good.kind} {key}$"):
+                dl.apply(d, m)
 
 
 def candidate_moves(d, kind):
@@ -315,6 +347,36 @@ class TestInvert:
         for step in invert(m, d):
             back = dl.apply(back, step)
         assert dl.canonically_equal(back, d), m.to_line()
+
+    def test_undo_every_instance(self, rng):
+        # Seeded words, half with a planted R2Add pattern, each rotated at
+        # random so that some sites cross the end of the word.  Every
+        # instance is undone; the three inserting kinds are subsampled.
+        inserting = {R1_ADD, R2_ADD, DL_PAIR_ADD}
+        deleting = {R1_REMOVE, DL_PAIR_CANCEL, R2_REMOVE}
+        seen, at_end = Counter(), set()
+        for _ in range(1000):
+            d = random_diagram(rng, max_crossings=3, max_double_lines=4)
+            n = len(d.tokens)
+            if rng.random() < 0.5:
+                pos1, pos2 = rng.randint(0, n), rng.randint(0, n)
+                m = mk(R2_ADD, pos1=pos1, pos2=pos2, role=rng.choice("OU"), eps=rng.choice((1, -1)))
+                d = dl.apply(d, m)
+            r = rng.randrange(max(len(d.tokens), 1))
+            d = DlDiagram(d.tokens[r:] + d.tokens[:r])
+            last = len(d.tokens) - 1
+            for m, child in successors(d):
+                if m.kind in inserting and rng.random() > 0.03:
+                    continue
+                back = child
+                for step in invert(m, d):
+                    back = dl.apply(back, step)
+                assert dl.canonically_equal(back, d), (dl.serialize(d), m.to_line())
+                seen[m.kind] += 1
+                if m.kind in deleting and last in dict(m.params).values():
+                    at_end.add(m.kind)
+        assert set(seen) == ALL_KINDS, seen
+        assert at_end == deleting
 
     def test_sliding_composite(self):
         d = dl.parse("U1+ D+ O1+ D-")

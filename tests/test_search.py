@@ -151,6 +151,22 @@ def test_unknown_kind():
         search("U1+ O1+", "D+ D-", max_moves=1, max_len=2, kinds={"Nope"}, check_invariants=False)
 
 
+@pytest.mark.parametrize(
+    "start, target, bounds",
+    [
+        ("U1+ O1+", "O1+ U1+", {}),
+        ("U1+ D+ O1+", "U1+ D+ O1+ D+", {"max_moves": 0, "check_invariants": False}),
+        ("U1+ O1+", "D+", {}),
+    ],
+    ids=["start-is-target", "zero-moves", "degrees-differ"],
+)
+def test_unknown_kind_without_expanding(start, target, bounds):
+    # The kinds are checked before any answer, also one that expands no
+    # state; the least unknown kind is named.
+    with pytest.raises(MoveError, match="unknown move kind 'Alpha'"):
+        search(start, target, kinds={R1_ADD, "Nope", "Alpha"}, **bounds)
+
+
 @pytest.mark.parametrize("bounds", [{"max_moves": -1}, {"max_len": -1}])
 def test_negative_bounds(bounds):
     with pytest.raises(ValueError, match="bounds must be non-negative"):
