@@ -15,12 +15,16 @@ Three layers on top of the move engine:
   in {0, -1}; an essential subset is an important subset of minimal size.
   ``essential_count`` alone finds that size; ``important_subsets`` lists
   subsets from it up, by cardinality and then lexicographically, and
-  ``essential_diagram`` keeps the first.  The minimal size is unchanged by
-  R1Add, R1Remove and R3, and by an R2Add or R2Remove whose new or removed
-  crossings have a winding interval holding no double line or every
-  double line.  It is not invariant under the whole move set: an R2Add
-  whose crossings wind around part of the lines can raise it
-  (``D- D- D- D+ D+ D+``, count 0, becomes
+  ``essential_diagram`` keeps the first.  The listing packs each line into
+  one integer with its sign in a base-2^b digit per row (the word, and each
+  crossing interval holding the line), so one sum gives a subset's row
+  sums; with 2^b > L + 1 for L lines no row carries into the next, and one
+  AND with a mask tests the subset inside ``itertools`` iterators.  The
+  minimal size is unchanged by R1Add, R1Remove and R3, and by an R2Add or
+  R2Remove whose new or removed crossings have a winding interval holding
+  no double line or every double line.  It is not invariant under the
+  whole move set: an R2Add whose crossings wind around part of the lines
+  can raise it (``D- D- D- D+ D+ D+``, count 0, becomes
   ``O1- O2+ D- D- D- U2+ U1- D+ D+ D+``, count 6).
 """
 
@@ -28,7 +32,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import itemgetter, not_
 
 from . import moves
 from .diagram import (
@@ -55,22 +60,50 @@ class ProjectionError(ValueError):
     """Raised when a projection precondition fails."""
 
 
-def _line_crossings(d: DlDiagram) -> dict[int, list[int]]:
-    """Each double line's position, mapped to the crossings (in id order)
-    whose winding interval holds it, from one walk: a line lies between the
-    two passages of a crossing iff the interval holds it, unless the Over
-    passage comes first, when the interval is the rest of the word."""
+_Classes = dict[tuple[tuple[int, ...], int], int]  # (crossings, sign) -> lines
+
+
+def _line_crossings(d: DlDiagram) -> tuple[list[int], list[int], _Classes, int]:
+    """One walk over the word.  Returns the double lines' positions, each
+    line packed as one integer, the classes of interchangeable lines (the
+    count of lines of each sign whose winding intervals are those of the
+    same crossings, keyed by those crossings in id order and the sign),
+    and a 1 in every crossing row, packed.
+
+    A packed line holds its sign in the base-2^b digit of row 0 and of the
+    row of every crossing whose interval holds it; crossing rows are
+    numbered 1, 2, ... in the order of first passages.  A line lies between
+    the two passages of a crossing iff the interval holds it, unless the
+    Over passage comes first, when the interval is the rest of the word."""
+    # Each digit of important_subsets' test, sum(subset) - low, is minus
+    # the sign sum of the row's kept lines, so it lies within +-L for L
+    # lines; 2^b > L + 1 then keeps a carry from faking a 0 or 1 digit.
+    # L <= n, the word's length.
+    b = (len(d.tokens) + 1).bit_length()
+    unit: dict[int, int] = {}  # crossing id -> 1 in its row
     between: set[int] = set()
     over_first: set[int] = set()
+    # between, and over_first plus row 0 (which holds every line), packed
+    inside, over = 0, 1
     walk = []
     for i, t in enumerate(d.tokens):
         if isinstance(t, DoubleLine):
-            walk.append((i, frozenset(between)))
-            continue
-        if t.role == OVER and t.crossing_id not in between:
-            over_first.add(t.crossing_id)
-        between ^= {t.crossing_id}
-    return {i: sorted(inside ^ over_first) for i, inside in walk}
+            walk.append((i, frozenset(between), t.sign, inside))
+        elif t.crossing_id in between:  # the crossing's second passage
+            between.remove(t.crossing_id)
+            inside ^= unit[t.crossing_id]
+        else:
+            c = t.crossing_id
+            between.add(c)
+            unit[c] = 1 << b * (len(unit) + 1)
+            inside |= unit[c]
+            if t.role == OVER:
+                over_first.add(c)
+                over |= unit[c]
+    same = Counter(map(itemgetter(1, 2), walk))  # (crossings between, sign)
+    classes = {(tuple(sorted(crossed ^ over_first)), sign): n for (crossed, sign), n in same.items()}
+    vecs = [sign * (packed ^ over) for _, _, sign, packed in walk]
+    return [w[0] for w in walk], vecs, classes, sum(unit.values())
 
 
 def parity_projection(d: DlDiagram) -> DlDiagram:
@@ -202,31 +235,36 @@ class EssentialReport:
 def important_subsets(d: DlDiagram, limit: int | None = None) -> list[EssentialReport]:
     """All important double-line subsets, by cardinality and then in
     lexicographic order, from the essential count up: no smaller subset is
-    important, and the full set always is.  ``limit``, at least 1, caps the
-    reports.  Removing lines moves no passage, so a crossing's residual sum
-    is its raw sum less the signs of the removed lines in its interval.
+    important, and the full set always is.  ``limit``, an int of at least
+    1, caps the reports.
+
+    Removing lines moves no passage, so a crossing's residual sum is its
+    raw sum less the signs of the removed lines in its interval.  Each line
+    is one integer holding its sign in the base-2^b digit of row 0 and of
+    every crossing row whose interval holds it, and ``low``, the sum of all
+    lines, packs the degree and each raw sum.  A subset is important iff
+    ``sum(subset) - low`` has digit 0 in row 0 and, in every crossing row,
+    0 or 1: minus the crossing's residual sum.  Every digit lies within +-L
+    for L lines and 2^b > L + 1, so no carry crosses a row: the digits are
+    exact, and the test is one masked AND per subset, run in C iterators.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-    raw, holds = winding_sums(d), _line_crossings(d)
-    signs = [d.tokens[i].sign for i in holds]
-    kmin, deg = _essential_count(d, raw, holds), sum(signs)
+    if limit is not None and (type(limit) is not int or limit < 1):
+        raise ValueError(f"limit must be at least 1 and an int, got {limit!r}")
+    raw = winding_sums(d)
+    positions, vecs, classes, rows = _line_crossings(d)
+    kmin = _essential_count(degree(d), raw, classes)
+    low, n, bad = sum(vecs), len(raw), ~rows
+    packed = dict(zip(positions, vecs)).__getitem__
     reports: list[EssentialReport] = []
     # Sizes keep the degree's parity, as kmin does; subsets of line
-    # positions come in lexicographic order, each with its signs.
-    for k in range(kmin, len(holds) + 1, 2):
-        for subset, sub_signs in zip(combinations(holds, k), combinations(signs, k)):
-            if sum(sub_signs) != deg:
-                continue
-            residual = dict(raw)
-            for i, sign in zip(subset, sub_signs):
-                for cid in holds[i]:
-                    residual[cid] -= sign
-            if all(v in (0, -1) for v in residual.values()):
-                vals = tuple(sorted(residual.values()))
-                reports.append(EssentialReport(subset, k, vals, k == kmin))
-                if limit is not None and len(reports) >= limit:
-                    return reports
+    # positions come in lexicographic order, as do their packed lines.
+    for k in range(kmin, len(vecs) + 1, 2):
+        fits = map(not_, map(bad.__and__, map(sum, combinations(vecs, k), repeat(-low))))
+        for subset in compress(combinations(positions, k), fits):
+            odd = sum(map(packed, subset), -low).bit_count()  # crossings left at -1
+            reports.append(EssentialReport(subset, k, (-1,) * odd + (0,) * (n - odd), k == kmin))
+            if len(reports) == limit:
+                return reports
     return reports
 
 
@@ -236,17 +274,15 @@ def essential_count(d: DlDiagram) -> int:
     Interchangeable double lines (same sign, same set of winding intervals)
     are grouped into classes, so block-shaped diagrams stay cheap.
     """
-    return _essential_count(d, winding_sums(d), _line_crossings(d))
+    return _essential_count(degree(d), winding_sums(d), _line_crossings(d)[2])
 
 
-def _essential_count(d: DlDiagram, raw: dict[int, int], holds: dict[int, list[int]]) -> int:
-    deg = degree(d)
+def _essential_count(deg: int, raw: dict[int, int], classes: _Classes) -> int:
     # Row 0 is the whole word, row r >= 1 the winding interval of the r-th
     # crossing c.  Removing a subset must remove the degree from row 0 and
     # raw[c] or raw[c] + 1 from c's row, leaving parity 0 or -1.
     targets = [(deg, deg)] + [(v, v + 1) for v in raw.values()]
     row = {cid: r for r, cid in enumerate(raw, 1)}
-    classes = Counter((tuple(members), d.tokens[i].sign) for i, members in holds.items())
     class_rows = [
         (sign, size, [0] + [row[c] for c in members])
         for (members, sign), size in sorted(classes.items(), key=lambda it: (-it[1], it[0]))
@@ -296,7 +332,7 @@ def _essential_count(d: DlDiagram, raw: dict[int, int], holds: dict[int, list[in
 
     # A subset removing the degree has the degree's parity and at least
     # |deg| lines; the full set is always important, so some k fits.
-    return next(k for k in range(abs(deg), len(holds) + 1, 2) if fits(k))
+    return next(k for k in range(abs(deg), sum(classes.values()) + 1, 2) if fits(k))
 
 
 def essential_diagram(d: DlDiagram) -> tuple[DlDiagram, MoveTrace]:

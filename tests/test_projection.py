@@ -174,21 +174,73 @@ class TestImportantSubsets:
         assert minimal and all(r.cardinality == 4 for r in minimal)
 
     @staticmethod
-    def _enumerate(d):
+    def _enumerate(d, first=None, start=0):
         """Every important subset by brute force: each combination of lines,
-        by cardinality, with its residual diagram built and measured."""
+        by cardinality from ``start`` up, with its residual diagram built and
+        measured; with ``first``, only that many."""
         positions = [i for i, t in enumerate(d.tokens) if isinstance(t, DoubleLine)]
-        found = []
-        for k in range(len(positions) + 1):
-            for subset in itertools.combinations(positions, k):
-                residual = dl.DlDiagram(
-                    tuple(t for i, t in enumerate(d.tokens) if i not in subset)
-                )
-                sums = sorted(dl.raw_winding_sum(residual, c) for c in residual.crossing_ids)
-                if dl.degree(residual) == 0 and all(v in (0, -1) for v in sums):
-                    found.append((subset, k, tuple(sums)))
+
+        def important():
+            for k in range(start, len(positions) + 1):
+                for subset in itertools.combinations(positions, k):
+                    residual = dl.DlDiagram(
+                        tuple(t for i, t in enumerate(d.tokens) if i not in subset)
+                    )
+                    sums = sorted(dl.raw_winding_sum(residual, c) for c in residual.crossing_ids)
+                    if dl.degree(residual) == 0 and all(v in (0, -1) for v in sums):
+                        yield subset, k, tuple(sums)
+
+        found = list(itertools.islice(important(), first))
         kmin = found[0][1]
         return [(s, k, v, k == kmin) for s, k, v in found]
+
+    @staticmethod
+    def _block_word(rng, lines, degree_zero):
+        """``lines`` double lines, a third to two thirds of them (at most half
+        if ``degree_zero``) one block of one sign inside crossing 1's
+        interval; the rest, balancing the block if ``degree_zero``, shuffled
+        with up to two more crossings, and the word rotated at random."""
+        sign = rng.choice([1, -1])
+        m = rng.randint(lines // 3, lines // 2 if degree_zero else 2 * lines // 3)
+        if degree_zero:
+            rest = [-sign] * m + [1, -1] * ((lines - 2 * m) // 2)
+        else:
+            rest = [rng.choice([1, -1]) for _ in range(lines - m)]
+        tokens = [DoubleLine(s) for s in rest]
+        for cid in range(2, rng.randint(1, 3) + 1):
+            s = rng.choice([1, -1])
+            tokens += [Passage(cid, "U", s), Passage(cid, "O", s)]
+        rng.shuffle(tokens)
+        s = rng.choice([1, -1])
+        tokens = [Passage(1, "U", s)] + [DoubleLine(sign)] * m + [Passage(1, "O", s)] + tokens
+        r = rng.randrange(len(tokens))
+        return dl.DlDiagram(tuple(tokens[r:] + tokens[:r]))
+
+    @staticmethod
+    def _listed(d, limit=None):
+        return [
+            (r.subset, r.cardinality, r.residual_parities, r.is_essential)
+            for r in dl.important_subsets(d, limit=limit)
+        ]
+
+    def test_digits_at_the_width_bound(self, rng):
+        # important_subsets packs each line into base-2^b digits, one per
+        # row, and tests a subset by the digits of its sum.  A block of one
+        # sign in one interval drives those digits far from 0; with too few
+        # bits per digit (2 bits fail here) a carry between rows passes
+        # subsets that are not important.  Full lists where the brute force
+        # is cheap, else each limit=j prefix up to 20 against the brute
+        # force from the essential count up.
+        for lines, words in ((7, 20), (8, 40), (9, 20), (15, 2), (16, 2), (17, 2)):
+            for j in range(words):
+                d = self._block_word(rng, lines, degree_zero=lines % 2 == 0 and j % 2 == 0)
+                assert d.double_line_count == lines
+                if lines < 10:
+                    assert self._listed(d) == self._enumerate(d), dl.serialize(d)
+                    continue
+                expect = self._enumerate(d, first=20, start=dl.essential_count(d))
+                for k in range(1, 21):
+                    assert self._listed(d, limit=k) == expect[:k], (dl.serialize(d), k)
 
     def test_reports_reverify(self, rng):
         for _ in range(20):
@@ -208,22 +260,16 @@ class TestImportantSubsets:
             random_diagram(rng, 4, 8) for _ in range(20)
         ]:
             expect = self._enumerate(d)
-            got = [
-                (r.subset, r.cardinality, r.residual_parities, r.is_essential)
-                for r in dl.important_subsets(d)
-            ]
-            assert got == expect, dl.serialize(d)
+            assert self._listed(d) == expect, dl.serialize(d)
             for j in range(1, len(expect) + 1):
-                assert [
-                    (r.subset, r.cardinality, r.residual_parities, r.is_essential)
-                    for r in dl.important_subsets(d, limit=j)
-                ] == expect[:j], (dl.serialize(d), j)
+                assert self._listed(d, limit=j) == expect[:j], (dl.serialize(d), j)
 
     def test_limit_caps_output(self):
         d = dl.one_crossing(-2, 2, 1)
         assert len(dl.important_subsets(d, limit=3)) <= 3
         assert len(dl.important_subsets(d, limit=1)) == 1
-        for bad in (0, -3):
+        # Only an int counts: not a float, a bool or a string.
+        for bad in (0, -3, 2.5, 3.0, True, False, "3"):
             with pytest.raises(ValueError, match="limit must be at least 1"):
                 dl.important_subsets(d, limit=bad)
 
