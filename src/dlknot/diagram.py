@@ -137,19 +137,22 @@ def _trusted(tokens: tuple[Token, ...]) -> DlDiagram:
 
 
 def _validate(tokens: tuple[Token, ...]) -> None:
+    if not isinstance(tokens, tuple):
+        raise DiagramError(f"tokens must be a tuple, got {type(tokens).__name__}")
+    # Ids and signs are ints: True == 1 and 1.0 == 1, but neither is one.
     seen: dict[int, list[Passage]] = {}
     for t in tokens:
         if isinstance(t, Passage):
-            if t.crossing_id < 1:
-                raise DiagramError(f"crossing id must be positive, got {t.crossing_id}")
+            if type(t.crossing_id) is not int or t.crossing_id < 1:
+                raise DiagramError(f"crossing id must be a positive int, got {t.crossing_id!r}")
             if t.role not in (OVER, UNDER):
                 raise DiagramError(f"bad role {t.role!r}")
-            if t.sign not in (1, -1):
-                raise DiagramError(f"bad crossing sign {t.sign}")
+            if type(t.sign) is not int or t.sign not in (1, -1):
+                raise DiagramError(f"bad crossing sign {t.sign!r}")
             seen.setdefault(t.crossing_id, []).append(t)
         elif isinstance(t, DoubleLine):
-            if t.sign not in (1, -1):
-                raise DiagramError(f"bad double-line sign {t.sign}")
+            if type(t.sign) is not int or t.sign not in (1, -1):
+                raise DiagramError(f"bad double-line sign {t.sign!r}")
         else:
             raise DiagramError(f"unknown token {t!r}")
     for cid, ps in seen.items():

@@ -151,16 +151,23 @@ def mk(kind: str, /, **params: int | str) -> MoveInstance:
 
 
 def _read_move(kind: str, params: dict) -> MoveInstance:
-    """A move read from a trace, with only parameters its kind takes.  A
-    missing one is named first, as ``apply`` names it; an unknown kind is
-    left to ``apply``."""
+    """A move read from a trace; an unknown kind is left to ``apply``."""
     m = mk(kind, **params)
-    extra = params.keys() - PARAMS.get(kind, params)
-    if extra:
-        for k in PARAMS[kind]:
-            m[k]  # raises MoveError if k is missing
-        raise MoveError(f"{kind} takes no parameter {min(extra)!r}")
+    if kind in PARAMS:
+        _check_names(m)
     return m
+
+
+def _check_names(m: MoveInstance) -> None:
+    """Raise MoveError on a parameter that ``m``'s kind does not take; a
+    missing one is named first, as ``apply`` names it."""
+    names = PARAMS[m.kind]
+    for key, _ in m.params:
+        if key not in names:
+            for k in names:
+                m[k]  # raises MoveError if k is missing
+            extra = min(k for k, _ in m.params if k not in names)
+            raise MoveError(f"{m.kind} takes no parameter {extra!r}")
 
 
 def _fresh_id(tokens: tuple[Token, ...]) -> int:
@@ -182,6 +189,7 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
     kind = m.kind
     if kind not in PARAMS:
         raise MoveError(f"unknown move kind {kind!r}")
+    _check_names(m)
 
     # A site is a token position, an insertion position may also be the end,
     # and a valued parameter is one of its VALUES by type too: True is not 1.

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, compress, repeat
-from operator import itemgetter, not_
+from operator import itemgetter, not_, sub
 
 from . import moves
 from .diagram import (
@@ -250,10 +250,9 @@ def important_subsets(d: DlDiagram, limit: int | None = None) -> list[EssentialR
     """
     if limit is not None and (type(limit) is not int or limit < 1):
         raise ValueError(f"limit must be at least 1 and an int, got {limit!r}")
-    raw = winding_sums(d)
     positions, vecs, classes, rows = _line_crossings(d)
-    kmin = _essential_count(degree(d), raw, classes)
-    low, n, bad = sum(vecs), len(raw), ~rows
+    kmin = _essential_count(classes)
+    low, n, bad = sum(vecs), rows.bit_count(), ~rows
     packed = dict(zip(positions, vecs)).__getitem__
     reports: list[EssentialReport] = []
     # Sizes keep the degree's parity, as kmin does; subsets of line
@@ -269,32 +268,33 @@ def important_subsets(d: DlDiagram, limit: int | None = None) -> list[EssentialR
 
 
 def essential_count(d: DlDiagram) -> int:
-    """Minimum cardinality over all important subsets (exact search).
-
-    Interchangeable double lines (same sign, same set of winding intervals)
-    are grouped into classes, so block-shaped diagrams stay cheap.
-    """
-    return _essential_count(degree(d), winding_sums(d), _line_crossings(d)[2])
+    """Minimum cardinality over all important subsets (exact search), from
+    one walk: interchangeable double lines (same sign, same set of winding
+    intervals) form classes, so block-shaped diagrams stay cheap."""
+    return _essential_count(_line_crossings(d)[2])
 
 
-def _essential_count(deg: int, raw: dict[int, int], classes: _Classes) -> int:
-    # Row 0 is the whole word, row r >= 1 the winding interval of the r-th
-    # crossing c.  Removing a subset must remove the degree from row 0 and
-    # raw[c] or raw[c] + 1 from c's row, leaving parity 0 or -1.
-    targets = [(deg, deg)] + [(v, v + 1) for v in raw.values()]
-    row = {cid: r for r, cid in enumerate(raw, 1)}
+def _essential_count(classes: _Classes) -> int:
+    """The search, from the classes alone.  Row 0 is the whole word, row
+    r >= 1 the winding interval of the r-th crossing, in id order, that
+    holds a line (one holding none has raw sum 0 and is left at 0).  A row's
+    lines sum to its raw sum, the degree in row 0: removing a subset must
+    remove the degree from row 0 and v or v + 1 from a row of raw sum v."""
+    row = {c: r for r, c in enumerate(sorted({c for members, _ in classes for c in members}), 1)}
     class_rows = [
         (sign, size, [0] + [row[c] for c in members])
         for (members, sign), size in sorted(classes.items(), key=lambda it: (-it[1], it[0]))
     ]
     # Suffix capacity per row: the +/- weight that classes i.. can remove.
-    suf = [([0] * len(targets), [0] * len(targets))]
+    suf = [([0] * (len(row) + 1), [0] * (len(row) + 1))]
     for sign, size, rows in reversed(class_rows):
         plus, minus = suf[-1][0][:], suf[-1][1][:]
         for r in rows:
             (plus if sign > 0 else minus)[r] += size
         suf.append((plus, minus))
     suf.reverse()
+    deg, *raw = map(sub, *suf[0])
+    targets = [(deg, deg)] + [(v, v + 1) for v in raw]
     cur = [0] * len(targets)
 
     def fits(k: int) -> bool:

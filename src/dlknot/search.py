@@ -46,8 +46,8 @@ def bfs_search(
     unknown = set(kinds) - ALL_KINDS
     if unknown:
         raise MoveError(f"unknown move kind {min(unknown)!r}")
-    if max_moves < 0 or max_len < 0:
-        raise ValueError(f"bounds must be non-negative: max_moves={max_moves}, max_len={max_len}")
+    if not all(type(b) is int and b >= 0 for b in (max_moves, max_len)):
+        raise ValueError(f"bounds must be non-negative ints: {max_moves=}, {max_len=}")
     if check_invariants and degree(start) != degree(target):
         return SearchResult(False, None, 0, max_moves, max_len)
 

@@ -40,6 +40,29 @@ class TestParse:
             assert dl.canonically_equal(dl.parse(dl.serialize(d)), d)
 
 
+class TestValidate:
+    # ``True == 1`` and ``1.0 == 1``, but neither is a crossing id or a sign;
+    # a token list would fail later, in ``apply`` and ``hash``.
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            ([Passage(1, "U", 1), DoubleLine(1), Passage(1, "O", 1)], "tokens must be a tuple"),
+            ((Passage(True, "U", 1), Passage(True, "O", 1)), "crossing id must be a positive int"),
+            ((Passage(1.0, "U", 1), Passage(1.0, "O", 1)), "crossing id must be a positive int"),
+            ((Passage("1", "U", 1), Passage("1", "O", 1)), "crossing id must be a positive int"),
+            ((Passage(1, "U", True), Passage(1, "O", True)), "bad crossing sign True"),
+            ((Passage(1, "U", 1.0), Passage(1, "O", 1.0)), "bad crossing sign 1.0"),
+            ((DoubleLine(True),), "bad double-line sign True"),
+            ((DoubleLine(-1.0),), "bad double-line sign -1.0"),
+        ],
+        ids=["list", "bool-id", "float-id", "str-id", "bool-sign", "float-sign",
+             "bool-line", "float-line"],
+    )
+    def test_rejected(self, tokens, message):
+        with pytest.raises(DiagramError, match=message):
+            DlDiagram(tokens)
+
+
 class TestSerialize:
     def test_trivial(self):
         assert dl.serialize(dl.parse("")) == ""

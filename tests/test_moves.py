@@ -130,6 +130,25 @@ class TestApply:
         with pytest.raises(MoveError):
             dl.apply(dl.parse("U1+ O1+"), move)
 
+    # Each move applies to ``U1+ O1+`` without its extra parameter; apply
+    # and the trace readers share one check, so they name it alike.
+    @pytest.mark.parametrize(
+        "move, message",
+        [
+            (mk(R1_REMOVE, pos=0, order="UO"), "R1Remove takes no parameter 'order'"),
+            (mk(DL_PAIR_ADD, pos=0, sign=1, foo=3), "DlPairAdd5 takes no parameter 'foo'"),
+            (mk(CROSSING_CHANGE, crossing_id=1, direction=1),
+             "CrossingChange takes no parameter 'direction'"),
+            (mk(R1_REMOVE, order="UO"), "R1Remove is missing parameter 'pos'"),
+        ],
+        ids=["R1Remove-order", "DlPairAdd5-foo", "CrossingChange-direction", "missing-pos"],
+    )
+    def test_extra_parameters_rejected(self, move, message):
+        with pytest.raises(MoveError, match=f"^{message}$"):
+            dl.apply(dl.parse("U1+ O1+"), move)
+        with pytest.raises(MoveError, match=f"^{message}$"):
+            MoveInstance.from_line(move.to_line())
+
     # A move that applies to ``U1+ O1+`` for each parameter in ``VALUES``.
     VALUED = {
         "order": mk(R1_ADD, pos=0, order="UO", sign=1),
@@ -434,6 +453,17 @@ class TestTrace:
         with pytest.raises(ReplayError) as e:
             dl.replay(t)
         assert e.value.index == 1
+
+    def test_library_trace_with_extra_parameter(self):
+        # A trace built in the library does not replay with a parameter that
+        # its text and JSON forms could not be read back with.
+        t = MoveTrace(dl.parse("U1+ O1+"), (mk(DL_PAIR_ADD, pos=0, sign=1, foo=3),))
+        with pytest.raises(ReplayError, match="takes no parameter 'foo'") as e:
+            dl.replay(t)
+        assert e.value.index == 0
+        for read, text in ((MoveTrace.from_text, t.to_text()), (MoveTrace.from_json, t.to_json())):
+            with pytest.raises(MoveError, match="^DlPairAdd5 takes no parameter 'foo'$"):
+                read(text)
 
     # A start built directly, with crossing ids out of first-occurrence
     # order: reading it back must keep the ids the steps refer to.

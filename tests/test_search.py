@@ -167,7 +167,21 @@ def test_unknown_kind_without_expanding(start, target, bounds):
         search(start, target, kinds={R1_ADD, "Nope", "Alpha"}, **bounds)
 
 
-@pytest.mark.parametrize("bounds", [{"max_moves": -1}, {"max_len": -1}])
+# Each bound must be an int of at least 0, as important_subsets' limit must
+# be an int: 1.5 or True would otherwise run a search and be echoed in the
+# result.
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"max_moves": -1},
+        {"max_len": -1},
+        {"max_moves": 1.5},
+        {"max_moves": True},
+        {"max_len": 7.0},
+        {"max_len": False},
+    ],
+)
 def test_negative_bounds(bounds):
-    with pytest.raises(ValueError, match="bounds must be non-negative"):
+    (key, value), = bounds.items()
+    with pytest.raises(ValueError, match=f"bounds must be non-negative ints: .*{key}={value!r}"):
         search("U1+ O1+", "U1+ O1+", **bounds)
