@@ -159,8 +159,12 @@ def _read_move(kind: str, params: dict) -> MoveInstance:
 
 
 def _check_names(m: MoveInstance) -> None:
-    """Raise MoveError on a parameter that ``m``'s kind does not take; a
-    missing one is named first, as ``apply`` names it."""
+    """Raise MoveError on a repeated parameter name, or on a parameter that
+    ``m``'s kind does not take; a missing one is named first, as ``apply``
+    names it."""
+    if len({k for k, _ in m.params}) != len(m.params):
+        k = next(k for i, (k, _) in enumerate(m.params) if k in dict(m.params[:i]))
+        raise MoveError(f"repeated move parameter {k!r}")
     names = PARAMS[m.kind]
     for key, _ in m.params:
         if key not in names:
@@ -175,12 +179,6 @@ def _fresh_id(tokens: tuple[Token, ...]) -> int:
     return max(ids, default=0) + 1
 
 
-def _check_pos(key: str, pos: object, n: int, allow_end: bool) -> None:
-    hi = n if allow_end else n - 1
-    if not (type(pos) is int and 0 <= pos <= hi):
-        raise MoveError(f"{key}={pos!r} out of range for {n} tokens")
-
-
 def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
     """Apply a move instance; raise MoveError on a bad parameter or a
     pattern mismatch.  The child is built as ``successors`` builds it."""
@@ -193,15 +191,15 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
 
     # A site is a token position, an insertion position may also be the end,
     # and a valued parameter is one of its VALUES by type too: True is not 1.
-    vals = []
+    vals, last = [], n - 1 if kind in _SITE_KINDS else n
     for key in PARAMS[kind]:
         v = m[key]
         if key in VALUES:
             allowed = VALUES[key]
             if type(v) is not type(allowed[0]) or v not in allowed:
                 raise MoveError(f"bad {kind} {key}")
-        elif key != "crossing_id":
-            _check_pos(key, v, n, allow_end=kind not in _SITE_KINDS)
+        elif key != "crossing_id" and not (type(v) is int and 0 <= v <= last):
+            raise MoveError(f"{key}={v!r} out of range for {n} tokens")
         vals.append(v)
 
     if kind in _SITE_KINDS:

@@ -9,17 +9,15 @@ Three layers on top of the move engine:
   diagram with all parities in {0, -1} by crossing changes, crossing
   slides to one common level of the running line-sign sum, and pair
   cancels: at any common level each arc's lines sum to 0 (the degree is 0).
+  It applies no step: it builds the word with the trace, one splice and
+  one stack pass of cancels per slid crossing.
 * ``important_subsets`` / ``essential_count`` / ``essential_diagram``
   compute the important and essential double-line subsets: an important
   subset is one whose removal leaves a degree-0 diagram with all parities
   in {0, -1}; an essential subset is an important subset of minimal size.
   ``essential_count`` alone finds that size; ``important_subsets`` lists
   subsets from it up, by cardinality and then lexicographically, and
-  ``essential_diagram`` keeps the first.  The listing packs each line into
-  one integer with its sign in a base-2^b digit per row (the word, and each
-  crossing interval holding the line), so one sum gives a subset's row
-  sums; with 2^b > L + 1 for L lines no row carries into the next, and one
-  AND with a mask tests the subset inside ``itertools`` iterators.  The
+  ``essential_diagram`` eliminates the lines outside the first.  The
   minimal size is unchanged by R1Add, R1Remove and R3, and by an R2Add or
   R2Remove whose new or removed crossings have a winding interval holding
   no double line or every double line.  It is not invariant under the
@@ -31,8 +29,9 @@ Three layers on top of the move engine:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from operator import itemgetter, not_, sub
 
 from . import moves
@@ -61,6 +60,7 @@ class ProjectionError(ValueError):
 
 
 _Classes = dict[tuple[tuple[int, ...], int], int]  # (crossings, sign) -> lines
+_LINE_PAIR = {DoubleLine(1), DoubleLine(-1)}
 
 
 def _line_crossings(d: DlDiagram) -> tuple[list[int], list[int], _Classes, int]:
@@ -146,24 +146,56 @@ class EliminationCertificate:
     result: DlDiagram
 
 
-def _cancel_steps(tokens: tuple[Token, ...]) -> list[MoveInstance]:
-    """DlPairCancel5 steps, in order, after which no two adjacent lines of
-    ``tokens`` have opposite signs: a stack pass cancels each line against
-    an opposite left neighbour, then the pairs across the end of the word
-    cancel (each end then holds lines of one sign up to its first passage)."""
-    kept: list[int] = []  # line signs, 0 for a passage
-    steps = []
+def _cancel_steps(tokens: Iterable[Token]) -> tuple[list[MoveInstance], list[Token]]:
+    """DlPairCancel5 steps after which no two adjacent lines of ``tokens``
+    are opposite, and the word they leave: a stack pass, then the pairs
+    across the end of the word."""
+    kept, steps = [], []
     for t in tokens:
-        v = t.sign if isinstance(t, DoubleLine) else 0
-        if kept and kept[-1] * v == -1:
+        if kept and type(t) is DoubleLine is type(kept[-1]) and kept[-1].sign != t.sign:
             kept.pop()
-            steps.append(mk(DL_PAIR_CANCEL, pos=len(kept)))
+            steps.append(MoveInstance(DL_PAIR_CANCEL, (("pos", len(kept)),)))
         else:
-            kept.append(v)
-    while kept and kept[-1] * kept[0] == -1:
-        steps.append(mk(DL_PAIR_CANCEL, pos=len(kept) - 1))
-        kept = kept[1:-1]
-    return steps
+            kept.append(t)
+    lo, hi = 0, len(kept)  # the word is kept[lo:hi]
+    while hi - lo > 1 and {kept[lo], kept[hi - 1]} == _LINE_PAIR:
+        steps.append(MoveInstance(DL_PAIR_CANCEL, (("pos", hi - lo - 1),)))
+        lo, hi = lo + 1, hi - 1
+    return steps, kept[lo:hi]
+
+
+def _eliminated(
+    d: DlDiagram, rest: DlDiagram, flip: list[int]
+) -> tuple[list[MoveInstance], list[Token]]:
+    """The steps that eliminate the lines of ``rest``, whose parity -1
+    crossings are ``flip``, run on ``d``, a word with the same passages;
+    with the word they leave.  No step is applied: the crossing changes
+    and their cancels are one pass, and the ``r`` slides of a crossing one
+    splice, hugging both its passages with ``r`` pairs, and one pass."""
+    def flipped(w: DlDiagram) -> Iterable[Token]:
+        f, changed = moves.flip_passage, set(flip)
+        return chain.from_iterable(
+            f(t, 1) if type(t) is Passage and t.crossing_id in changed else (t,) for t in w.tokens
+        )
+
+    level, s = {}, 0  # crossing id -> the running sum s at its passages
+    for t in flipped(rest):
+        if type(t) is DoubleLine:
+            s += t.sign
+        else:
+            assert level.setdefault(t.crossing_id, s) == s, f"crossing {t.crossing_id}: two levels"
+    k = sorted(level.values())[len(level) // 2] if level else 0
+    steps, word = _cancel_steps(flipped(d))
+    steps[:0] = [mk(CROSSING_CHANGE, crossing_id=c, chirality=1) for c in flip]
+    for c, s_c in sorted(level.items()):
+        if s_c != k:
+            r, s = abs(k - s_c), 1 if k > s_c else -1
+            steps += [mk(CROSSING_SLIDING, crossing_id=c, direction=s)] * r
+            i, j = moves._passages_of(word, c)
+            a, b = moves.hug(word[i], r, s), moves.hug(word[j], r, s)
+            cancels, word = _cancel_steps(chain(word[:i], a, word[i + 1 : j], b, word[j + 1 :]))
+            steps += cancels
+    return steps, word
 
 
 def eliminate_double_lines(d: DlDiagram) -> EliminationCertificate:
@@ -179,7 +211,7 @@ def eliminate_double_lines(d: DlDiagram) -> EliminationCertificate:
     shifts all levels alike or none, so the slides are counted once.
 
     The trace uses only CrossingChange, CrossingSliding and DlPairCancel5
-    and replays to the double-line-free result.
+    and replays to the result, which is built with it, applying no step.
     """
     if degree(d) != 0:
         raise ProjectionError(f"elimination needs degree 0, got {degree(d)}")
@@ -187,31 +219,9 @@ def eliminate_double_lines(d: DlDiagram) -> EliminationCertificate:
     for cid, p in parities.items():
         if p not in (0, -1):
             raise ProjectionError(f"crossing {cid} has winding parity {p}, expected 0 or -1")
-
-    current, steps = d, []
-
-    def do(batch: list[MoveInstance]) -> None:
-        nonlocal current
-        for m in batch:
-            current = moves.apply(current, m)
-        steps.extend(batch)
-
-    do([mk(CROSSING_CHANGE, crossing_id=c, chirality=1) for c in d.crossing_ids if parities[c] == -1])
-    do(_cancel_steps(current.tokens))
-    level, s = {}, 0  # crossing id -> the running sum s at its passages
-    for t in current.tokens:
-        if isinstance(t, DoubleLine):
-            s += t.sign
-        else:
-            assert level.setdefault(t.crossing_id, s) == s, f"crossing {t.crossing_id}: two levels"
-    k = sorted(level.values())[len(level) // 2] if level else 0
-    for cid, s_c in sorted(level.items()):
-        if s_c != k:
-            slide = mk(CROSSING_SLIDING, crossing_id=cid, direction=1 if k > s_c else -1)
-            do([slide] * abs(k - s_c))
-            do(_cancel_steps(current.tokens))
-    assert current.double_line_count == 0, "double lines left after elimination"
-    return EliminationCertificate(MoveTrace(d, tuple(steps)), current)
+    steps, word = _eliminated(d, d, [c for c, p in parities.items() if p == -1])
+    assert not any(type(t) is DoubleLine for t in word), "double lines left after elimination"
+    return EliminationCertificate(MoveTrace(d, tuple(steps)), DlDiagram(tuple(word)))
 
 
 @dataclass(frozen=True)
@@ -336,23 +346,13 @@ def _essential_count(classes: _Classes) -> int:
 
 
 def essential_diagram(d: DlDiagram) -> tuple[DlDiagram, MoveTrace]:
-    """An equivalent diagram whose double lines are one essential subset,
-    plus the canonical pairs at residual parity -1 crossings.
-
-    Returns the diagram together with the elimination trace certifying
-    that the non-essential double lines can be removed.
-    """
+    """An equivalent diagram whose lines are one essential subset, with the
+    trace from ``d`` that certifies it: the steps that eliminate the other
+    lines, run on ``d``.  Each arc is then left with the sum of its kept
+    lines, which have one sign (a kept + and - would leave a smaller
+    important subset): the output is ``d`` without the other lines, its
+    crossings of residual parity -1 changed, up to rotation."""
     keep = set(important_subsets(d, limit=1)[0].subset)
     rest = DlDiagram(tuple(t for i, t in enumerate(d.tokens) if i not in keep))
-    residual = winding_sums(rest)
-    cert = eliminate_double_lines(rest)
-    out: list[Token] = []
-    for i, t in enumerate(d.tokens):
-        if isinstance(t, DoubleLine):
-            if i in keep:
-                out.append(t)
-        elif residual[t.crossing_id] == -1:
-            out.extend(moves.flip_passage(t, 1))
-        else:
-            out.append(t)
-    return DlDiagram(tuple(out)), cert.trace
+    steps, word = _eliminated(d, rest, [c for c, p in winding_sums(rest).items() if p == -1])
+    return DlDiagram(tuple(word)), MoveTrace(d, tuple(steps))

@@ -149,6 +149,17 @@ class TestApply:
         with pytest.raises(MoveError, match=f"^{message}$"):
             MoveInstance.from_line(move.to_line())
 
+    def test_repeated_parameter_rejected(self):
+        # A move built directly can repeat a name, which a move line cannot
+        # hold: apply, replay and the reader reject it alike.
+        d, move = dl.parse("U1+ O1+"), MoveInstance(R1_REMOVE, (("pos", 0), ("pos", 1)))
+        with pytest.raises(MoveError, match="^repeated move parameter 'pos'$"):
+            dl.apply(d, move)
+        with pytest.raises(ReplayError, match="repeated move parameter 'pos'$"):
+            dl.replay(MoveTrace(d, (move,)))
+        with pytest.raises(MoveError, match="^repeated move parameter 'pos'$"):
+            MoveInstance.from_line(move.to_line())
+
     # A move that applies to ``U1+ O1+`` for each parameter in ``VALUES``.
     VALUED = {
         "order": mk(R1_ADD, pos=0, order="UO", sign=1),

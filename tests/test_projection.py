@@ -1,13 +1,15 @@
 """Parity normalization, double-line removal, and minimal important subsets."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 import dlknot as dl
 from dlknot import moves
-from dlknot.diagram import DoubleLine, Passage
+from dlknot.diagram import DoubleLine, Passage, winding_sums
 from dlknot.moves import CROSSING_CHANGE, CROSSING_SLIDING, DL_PAIR_ADD, DL_PAIR_CANCEL, mk
+from dlknot.moves import MoveTrace
 from dlknot.projection import ProjectionError
 
 from conftest import random_degree_zero, random_diagram
@@ -144,6 +146,77 @@ class TestElimination:
             steps = dl.eliminate_double_lines(d).trace.steps
             assert sum(m.kind == CROSSING_SLIDING for m in steps) == fewest, dl.serialize(d)
             assert {m.kind for m in steps} <= {CROSSING_CHANGE, CROSSING_SLIDING, DL_PAIR_CANCEL}
+
+    @staticmethod
+    def _applied(d):
+        """The elimination with every step applied by ``apply``: the crossing
+        changes, then each crossing's slides to the median level, each stage
+        followed by the cancels a stack of line signs finds.  None if ``d``
+        is not degree 0 with parities in {0, -1}."""
+
+        def cancels(tokens):
+            kept, steps = [], []  # line signs, 0 for a passage
+            for t in tokens:
+                v = t.sign if isinstance(t, DoubleLine) else 0
+                if kept and kept[-1] * v == -1:
+                    kept.pop()
+                    steps.append(mk(DL_PAIR_CANCEL, pos=len(kept)))
+                else:
+                    kept.append(v)
+            while kept and kept[-1] * kept[0] == -1:
+                steps.append(mk(DL_PAIR_CANCEL, pos=len(kept) - 1))
+                kept = kept[1:-1]
+            return steps
+
+        parities = winding_sums(d)
+        if dl.degree(d) != 0 or any(p not in (0, -1) for p in parities.values()):
+            return None
+        flip = [c for c in d.crossing_ids if parities[c] == -1]
+        steps = [mk(CROSSING_CHANGE, crossing_id=c, chirality=1) for c in flip]
+        cur = d
+        for m in steps:
+            cur = dl.apply(cur, m)
+        for m in cancels(cur.tokens):
+            cur = dl.apply(cur, m)
+            steps.append(m)
+        level, s = {}, 0
+        for t in cur.tokens:
+            if isinstance(t, DoubleLine):
+                s += t.sign
+            else:
+                level[t.crossing_id] = s
+        k = sorted(level.values())[len(level) // 2] if level else 0
+        for cid, s_c in sorted(level.items()):
+            slide = mk(CROSSING_SLIDING, crossing_id=cid, direction=1 if k > s_c else -1)
+            for m in [slide] * abs(k - s_c):
+                cur = dl.apply(cur, m)
+                steps.append(m)
+            for m in cancels(cur.tokens):
+                cur = dl.apply(cur, m)
+                steps.append(m)
+        return MoveTrace(d, tuple(steps)), cur
+
+    # Cancels across the end of the word, an Over-first crossing of parity
+    # -1 and crossings nested in each other; the last two words of the
+    # first row have parities 2 and 1, so both sides reject them.
+    EDGE_WORDS = [
+        "", "D+ D-", "D- D+ D+ D-", "U1+ O1+", "D+ U1+ O1+ D-", "O1+ D- D- U1+ D+ D+",
+        "D+ D+ U1+ O1+ D- U2+ O2+ D-", "U1+ D+ U2- D+ O2- D- D- O1+",
+        "O1+ D- D+ D+ U1+ D- D- D+", "U1+ D+ U2- O2- D- D- O1+ D+", "U1+ D- O1+ D+ D+ U2+ O2+ D-",
+    ]
+
+    def test_trace_matches_applied_steps(self, rng):
+        # The elimination builds its word without applying a step; its trace
+        # and result are those of applying every step, token for token.
+        for d in _eliminable_words(rng) + [dl.parse(w) for w in self.EDGE_WORDS]:
+            expect = self._applied(d)
+            if expect is None:
+                with pytest.raises(ProjectionError):
+                    dl.eliminate_double_lines(d)
+                continue
+            cert = dl.eliminate_double_lines(d)
+            assert (cert.trace, cert.result) == expect, dl.serialize(d)
+            assert dl.replay(cert.trace) == cert.result
 
     def test_random_projected_diagrams(self, rng):
         for _ in range(100):
@@ -305,27 +378,61 @@ class TestEssentialDiagram:
     @staticmethod
     def _reference(d):
         """The first brute-force important subset's lines kept, the others
-        dropped, and every residual parity -1 crossing changed with one
-        hugging pair."""
-        subset = TestImportantSubsets._enumerate(d)[0][0]
+        dropped, and every residual parity -1 crossing changed, without a
+        pair."""
+        subset = TestImportantSubsets._enumerate(d, first=1)[0][0]
         rest = dl.DlDiagram(tuple(t for i, t in enumerate(d.tokens) if i not in subset))
         flip = {c for c in rest.crossing_ids if dl.raw_winding_sum(rest, c) == -1}
         out = []
         for i, t in enumerate(d.tokens):
             if isinstance(t, Passage) and t.crossing_id in flip:
-                out.extend(moves.flip_passage(t, 1))
+                out.extend(moves.flip_passage(t, 0))
             elif isinstance(t, Passage) or i in subset:
                 out.append(t)
-        return dl.DlDiagram(tuple(out)), rest
+        return dl.DlDiagram(tuple(out))
 
     def test_matches_bruteforce(self, rng):
+        # Equal up to rotation: cancels across the end of the word may leave
+        # a kept line at the other end.
         for _ in range(60):
             d = random_diagram(rng, 4, 8)
-            expect, rest = self._reference(d)
             out, trace = dl.essential_diagram(d)
-            assert out.tokens == expect.tokens, dl.serialize(d)
-            assert trace.start == rest
-            assert dl.replay(trace).double_line_count == 0
+            assert dl.canonically_equal(out, self._reference(d)), dl.serialize(d)
+            assert trace.start == d
+            assert dl.replay(trace) == out
+
+    @staticmethod
+    def _w(d):
+        """The parity writhe polynomial W(d), as exponent -> coefficient:
+        the sum over crossings c of sign(c) f(p_c), with
+        f(p) = t^p - t^(-1-p) - sigma(p) (1 - t^-1).  At degree k != 0,
+        parities and exponents are taken mod |k|.  sigma(p) is +1 if p is
+        the greater of p and -1-p, -1 if the lesser and 0 if they are equal,
+        so f(-1-p) = -f(p): a crossing change leaves W as it was."""
+        k = abs(dl.degree(d))
+        red = (lambda e: e % k) if k else (lambda e: e)
+        signs = {t.crossing_id: t.sign for t in d.tokens if isinstance(t, Passage)}
+        w = Counter()
+        for c, raw in winding_sums(d).items():
+            p, q = red(raw), red(-1 - raw)
+            sigma = (p > q) - (p < q)
+            for e, v in ((p, 1), (q, -1), (0, -sigma), (red(-1), sigma)):
+                w[e] += signs[c] * v
+        return {e: v for e, v in w.items() if v}
+
+    def test_equivalent_with_essential_count_lines(self, rng):
+        # Words of every degree: the trace starts at the input and replays to
+        # the output, which has essential_count lines and the input's W.
+        # The first word's output once kept a hugging pair and lost its W.
+        words = [dl.parse("U1- D- D- O1- D+ D+")] + [random_diagram(rng, 4, 10) for _ in range(300)]
+        for d in words:
+            out, trace = dl.essential_diagram(d)
+            assert trace.start == d
+            assert dl.replay(trace) == out
+            assert out.double_line_count == dl.essential_count(d), dl.serialize(d)
+            assert self._w(out) == self._w(d), dl.serialize(d)
+        assert self._w(words[0]) == {-2: -1, -1: 1, 0: -1, 1: 1}
+        assert dl.serialize(dl.essential_diagram(words[0])[0]) == "O1+ D- U1+ D+"
 
     def test_wide_word(self):
         # 28 lines, essential count 8: too many for the brute force above.
@@ -334,15 +441,14 @@ class TestEssentialDiagram:
             "D+ D+ D- D- D+ D- O2- D- D+ D- D+"
         )
         out, trace = dl.essential_diagram(wide)
-        assert dl.serialize(out) == (
-            "D+ O1- D+ D+ U1- D+ O2+ D- D- D- D- D+ U2+ D- U3- O3-"
-        )
+        assert dl.serialize(out) == "D+ O1- D+ D+ U1- D+ O2+ D- D- D- D- U2+ U3- O3-"
         assert len(trace.steps) == 15
-        assert dl.replay(trace).double_line_count == 0
+        assert dl.replay(trace) == out
+        assert self._w(out) == self._w(wide)
 
     def test_negative_parity_pair(self):
         d = dl.parse("U1+ D- O1+ D+")
         out, _ = dl.essential_diagram(d)
         assert dl.essential_count(d) == 0
-        # all lines of the output are the canonical pair at the flipped crossing
-        assert sum(1 for t in out.tokens if isinstance(t, DoubleLine)) in (0, 2)
+        # the crossing is changed, and its hugging pair cancelled
+        assert dl.serialize(out) == "O1- U1-"
