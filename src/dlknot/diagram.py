@@ -212,24 +212,59 @@ def _code(tokens: tuple[Token, ...]) -> tuple[int, ...]:
     return tuple(code)
 
 
-def _least_rotation(c: tuple[int, ...]) -> int:
-    """The start of the least rotation of the non-empty ``c``.  That
+def _gap_codes(tokens: tuple[Token, ...]) -> list[tuple[int, ...]]:
+    """For each insertion position ``pos`` (``range(max(n, 1))``), the code
+    of ``tokens`` with a two-token block inserted before ``pos``, rotated to
+    start just after the block and without the block's own two codes.  The
+    block lengthens by 2 the forward arc of every passage that holds the
+    gap: the passage at ``i`` with code ``v >= 4`` holds it iff
+    ``g <= i + (v >> 2)``, where ``g`` is ``pos`` if ``pos > i`` and
+    ``pos + n`` otherwise."""
+    code = _code(tokens)
+    n = len(code)
+    rows = []
+    for pos in range(max(n, 1)):
+        c = [
+            v + 8 if v >= 4 and (pos if pos > i else pos + n) <= i + (v >> 2) else v
+            for i, v in enumerate(code)
+        ]
+        rows.append(tuple(c[pos:] + c[:pos]))
+    return rows
+
+
+def _block_code(block: tuple[Token, Token], n: int) -> tuple[int, int]:
+    """The first two codes of the word that starts with ``block``, two
+    double lines or the two passages of one crossing, followed by ``n``
+    tokens: the second passage meets the first ``n + 1`` tokens on."""
+    a, b = block
+    if isinstance(a, DoubleLine):
+        return 1 - a.sign, 1 - b.sign
+    s = a.sign < 0
+    return 4 + 2 * (a.role == OVER) + s, 4 * (n + 1) + 2 * (b.role == OVER) + s
+
+
+def _least_rotation(c: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The least rotation of the non-empty ``c`` and its start.  That
     rotation begins with ``min(c)``, so only the starts at an occurrence
     of it are compared, and a unique least value fixes the start."""
     low = min(c)
     if c.count(low) == 1:
-        return c.index(low)
-    return min((i for i, v in enumerate(c) if v == low), key=lambda i: c[i:] + c[:i])
+        r = c.index(low)
+        return c[r:] + c[:r], r
+    cc = c + c
+    n = len(c)
+    return min([(cc[i : i + n], i) for i, v in enumerate(c) if v == low])
+
+
+def _key(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of the code ``c``."""
+    return _least_rotation(c)[0] if c else c
 
 
 def canonical_key(d: DlDiagram) -> tuple[int, ...]:
     """The least rotation of the word's code: equal for two diagrams iff
     they differ only by a cyclic rotation and a renaming of crossing ids."""
-    c = _code(d.tokens)
-    if not c:
-        return c
-    r = _least_rotation(c)
-    return c[r:] + c[:r]
+    return _key(_code(d.tokens))
 
 
 def canonicalize(d: DlDiagram) -> DlDiagram:
@@ -242,7 +277,7 @@ def canonicalize(d: DlDiagram) -> DlDiagram:
     c = _code(d.tokens)
     if not c:
         return d
-    r = _least_rotation(c)
+    r = _least_rotation(c)[1]
     return DlDiagram(tuple(_relabel_first_occurrence(d.tokens[r:] + d.tokens[:r])))
 
 

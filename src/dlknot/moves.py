@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .diagram import (
@@ -42,6 +43,7 @@ from .diagram import (
     DoubleLine,
     Passage,
     Token,
+    _block_code,
     _trusted,
     read_tokens,
     serialize,
@@ -384,15 +386,25 @@ def _site_error(tokens: tuple[Token, ...], kind: str, sites: Sequence[int]) -> s
     return None
 
 
-def successors(
-    d: DlDiagram, kinds: Iterable[str] = ALL_KINDS
-) -> list[tuple[MoveInstance, DlDiagram]]:
-    """Every applicable instance of the requested kinds with its child, in
-    deterministic order: the kinds sorted, then each kind's sites.
+def _instances(
+    d: DlDiagram, kinds: Iterable[str] = ALL_KINDS, mirrors: bool = True
+) -> Iterator[tuple[str, tuple, Callable[[], DlDiagram], tuple[int, tuple[int, int]] | None]]:
+    """Every applicable instance of the requested kinds, in the order of
+    ``successors``, as ``(kind, params, build, insert)``:
+    ``MoveInstance(kind, params)`` is the move, ``build()`` makes its child,
+    and ``insert`` is ``(pos, block code)`` when the child is ``d`` with a
+    two-token block inserted before ``pos`` (R1Add, DlPairAdd5), None
+    otherwise; ``diagram._block_code`` gives the block's two codes.
 
     One walk classifies every adjacent pair and finds each crossing's
     passages; the fresh crossing id and the inserted blocks are made once.
-    Each child comes from the builder that ``apply`` uses for its kind.
+    The parameters are written in name order, as ``mk`` sorts them, and
+    each child comes from the builder that ``apply`` uses for its kind.
+
+    Without ``mirrors``, R2Add leaves out its instances with
+    ``pos1 > pos2``: ``eps=e pos1=p pos2=q role=O`` and ``eps=-e pos1=q
+    pos2=p role=U`` give the same word up to renaming, and the one with
+    ``pos1 < pos2`` comes first.
     """
     tokens = d.tokens
     n = len(tokens)
@@ -409,28 +421,26 @@ def successors(
             one_site[kind].append(p)
     fresh = _fresh_id(tokens)
     ins_positions = range(max(n, 1))
-    # The insertion kinds give most children: their parameters are written
-    # in name order, as ``mk`` sorts them, without the sort.
-    out: list[tuple[MoveInstance, DlDiagram]] = []
 
     for kind in sorted(kinds):
         if kind in one_site:
             build = _swap if kind in _SWAP_KINDS else _delete
-            out += [(mk(kind, pos=p), build(tokens, (p,))) for p in one_site[kind]]
+            for p in one_site[kind]:
+                yield kind, (("pos", p),), partial(build, tokens, (p,)), None
         elif kind == R1_ADD:
             kinks = [(o, s, _kink(fresh, o, s)) for o in VALUES["order"] for s in VALUES["sign"]]
+            kinks = [(o, s, block, _block_code(block, n)) for o, s, block in kinks]
             for pos in ins_positions:
-                for order, sign, block in kinks:
-                    m = MoveInstance(R1_ADD, (("order", order), ("pos", pos), ("sign", sign)))
-                    out.append((m, _insert(tokens, pos, block)))
+                for order, sign, block, code in kinks:
+                    params = (("order", order), ("pos", pos), ("sign", sign))
+                    yield kind, params, partial(_insert, tokens, pos, block), (pos, code)
         elif kind == R2_ADD:
             blocks = [(r, e, _r2_blocks(fresh, r, e)) for r in VALUES["role"] for e in VALUES["eps"]]
             for pos1 in ins_positions:
-                for pos2 in ins_positions:
+                for pos2 in ins_positions if mirrors else ins_positions[pos1:]:
                     for role, eps, (block1, block2) in blocks:
                         params = (("eps", eps), ("pos1", pos1), ("pos2", pos2), ("role", role))
-                        m = MoveInstance(R2_ADD, params)
-                        out.append((m, _insert(tokens, pos1, block1, pos2, block2)))
+                        yield kind, params, partial(_insert, tokens, pos1, block1, pos2, block2), None
         elif kind == R2_REMOVE:
             # The second site ends at the partner of tokens[pos1], so each
             # pos1 has one candidate pos2.  The pattern is symmetric in its
@@ -438,33 +448,46 @@ def successors(
             for pos1 in adj:
                 pos2 = (sum(where[tokens[pos1].crossing_id]) - pos1 - 1) % n
                 if pos1 < pos2 and _site_error(tokens, R2_REMOVE, (pos1, pos2)) is None:
-                    out.append((mk(R2_REMOVE, pos1=pos1, pos2=pos2), _delete(tokens, (pos1, pos2))))
+                    params = (("pos1", pos1), ("pos2", pos2))
+                    yield kind, params, partial(_delete, tokens, (pos1, pos2)), None
         elif kind == R3:
+            # Only three sites whose crossing pairs are the three pairs of
+            # three crossings can pass the pattern test.
+            pair = {p: frozenset((tokens[p].crossing_id, tokens[(p + 1) % n].crossing_id)) for p in adj}
             for sites in combinations(adj, 3):
-                if _site_error(tokens, R3, sites) is None:
-                    m = mk(R3, pos1=sites[0], pos2=sites[1], pos3=sites[2])
-                    out.append((m, _swap(tokens, sites)))
+                x, y, z = (pair[p] for p in sites)
+                if x != y != z != x and len(x | y | z) == 3 and _site_error(tokens, R3, sites) is None:
+                    params = (("pos1", sites[0]), ("pos2", sites[1]), ("pos3", sites[2]))
+                    yield kind, params, partial(_swap, tokens, sites), None
         elif kind == DL_PAIR_ADD:
             pairs = [(s, _line_pair(s)) for s in VALUES["sign"]]
+            pairs = [(s, block, _block_code(block, n)) for s, block in pairs]
             for pos in ins_positions:
-                for sign, block in pairs:
-                    m = MoveInstance(DL_PAIR_ADD, (("pos", pos), ("sign", sign)))
-                    out.append((m, _insert(tokens, pos, block)))
+                for sign, block, code in pairs:
+                    params = (("pos", pos), ("sign", sign))
+                    yield kind, params, partial(_insert, tokens, pos, block), (pos, code)
         elif kind in (CROSSING_CHANGE, CROSSING_SLIDING):
             key = "chirality" if kind == CROSSING_CHANGE else "direction"
             for cid in sorted(where):
                 for s in VALUES[key]:
-                    m = mk(kind, crossing_id=cid, **{key: s})
-                    out.append((m, _map_crossing(tokens, where[cid], kind, s)))
+                    params = tuple(sorted([(key, s), ("crossing_id", cid)]))
+                    yield kind, params, partial(_map_crossing, tokens, where[cid], kind, s), None
         else:
             raise MoveError(f"unknown move kind {kind!r}")
-    return out
+
+
+def successors(
+    d: DlDiagram, kinds: Iterable[str] = ALL_KINDS
+) -> list[tuple[MoveInstance, DlDiagram]]:
+    """Every applicable instance of the requested kinds with its child, in
+    deterministic order: the kinds sorted, then each kind's sites."""
+    return [(MoveInstance(k, ps), build()) for k, ps, build, _ in _instances(d, kinds)]
 
 
 def enumerate_moves(d: DlDiagram, kinds: Iterable[str] = ALL_KINDS) -> list[MoveInstance]:
     """All applicable instances of the requested kinds, in the order of
     ``successors``."""
-    return [m for m, _ in successors(d, kinds)]
+    return [MoveInstance(k, ps) for k, ps, _, _ in _instances(d, kinds)]
 
 
 def invert(m: MoveInstance, context: DlDiagram) -> list[MoveInstance]:

@@ -1,22 +1,26 @@
 """Bounded breadth-first equivalence search over the move graph.
 
 The move graph is infinite, so the search is bounded by a maximum number
-of moves and a maximum token length.  A state is expanded once, by
-``moves.successors``, and only with the move kinds whose growth
-(``moves.GROWTH``) fits the length bound, so no child over the bound is
-built; states are deduplicated on ``canonical_key``.  Children at the
-last depth are keyed and counted but not queued.  A hit comes with a
-replayable trace; a miss means only that the target is not reachable
-within the bounds, or that the degrees differ.
+of moves and a maximum token length.  A state is expanded once, over the
+instances that ``successors`` lists, and only with the move kinds whose
+growth (``moves.GROWTH``) fits the length bound; states are deduplicated
+on ``canonical_key``.  The search keys each child first and builds only
+the new children it queues: an R1Add or DlPairAdd5 child is keyed from
+its parent's code, without being built, and an R2Add child that mirrors
+an earlier sibling is skipped unkeyed.  Children at the last depth are
+keyed and counted but not queued.  A hit comes with a replayable trace;
+a miss means only that the target is not reachable within the bounds, or
+that the degrees differ.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from .diagram import DlDiagram, canonical_key, degree
-from .moves import ALL_KINDS, GROWTH, MoveError, MoveInstance, MoveTrace, successors
+from .diagram import DlDiagram, _gap_codes, _key, canonical_key, degree
+from .moves import ALL_KINDS, GROWTH, MoveError, MoveInstance, MoveTrace, _instances
 
 
 @dataclass(frozen=True)
@@ -26,6 +30,26 @@ class SearchResult:
     explored: int
     max_moves: int
     max_len: int
+
+
+def _keyed_children(
+    d: DlDiagram, kinds: Iterable[str]
+) -> Iterator[tuple[str, tuple, tuple[int, ...], DlDiagram | None, Callable[[], DlDiagram]]]:
+    """The instances of ``successors(d, kinds)`` but R2Add's mirrors, each
+    as ``(kind, params, key, child, build)`` with the child's canonical
+    key.  An insertion child is keyed from ``d``'s code, the block's two
+    codes followed by the gap's row of ``diagram._gap_codes``, and comes
+    unbuilt (``child`` None); every other child is built and keyed."""
+    gaps = None
+    for kind, params, build, insert in _instances(d, kinds, mirrors=False):
+        if insert is None:
+            child = build()
+            yield kind, params, canonical_key(child), child, build
+        else:
+            if gaps is None:
+                gaps = _gap_codes(d.tokens)
+            pos, code = insert
+            yield kind, params, _key(code + gaps[pos]), None, build
 
 
 def bfs_search(
@@ -65,16 +89,16 @@ def bfs_search(
         d, path = queue.popleft()
         room = max_len - len(d.tokens)
         fitting = [k for k in kinds if GROWTH[k] <= room]
-        for m, nxt in successors(d, fitting):
-            key = canonical_key(nxt)
+        last = len(path) + 1 == max_moves
+        for kind, params, key, child, build in _keyed_children(d, fitting):
             if key in seen:
                 continue
             seen.add(key)
             explored += 1
-            new_path = path + (m,)
             if key == goal:
-                return SearchResult(True, MoveTrace(start, new_path), explored, max_moves, max_len)
-            # A child at the last depth is keyed and counted, not expanded.
-            if len(new_path) < max_moves:
-                queue.append((nxt, new_path))
+                trace = MoveTrace(start, path + (MoveInstance(kind, params),))
+                return SearchResult(True, trace, explored, max_moves, max_len)
+            # A child at the last depth is keyed and counted, not built.
+            if not last:
+                queue.append((child or build(), path + (MoveInstance(kind, params),)))
     return SearchResult(False, None, explored, max_moves, max_len)

@@ -28,11 +28,13 @@ from dlknot.moves import (
     MoveTrace,
     VALUES,
     ReplayError,
+    _instances,
     _site_error,
     invert,
     mk,
     successors,
 )
+from dlknot.search import _keyed_children
 
 from conftest import random_degree_zero, random_diagram
 
@@ -289,8 +291,15 @@ class TestEnumerate:
         assert dl.enumerate_moves(d, dl.ALL_KINDS) == dl.enumerate_moves(d, dl.ALL_KINDS)
 
 
+def is_mirror(m):
+    """An R2Add instance whose child is an earlier sibling's up to renaming."""
+    return m.kind == R2_ADD and m["pos1"] > m["pos2"]
+
+
 class TestSuccessors:
     def test_matches_apply_reference(self, rng):
+        # Also the keys the search uses, some of them taken from the
+        # parent's code: each is the child's canonical key.
         hits = Counter()
         for _ in range(2000):
             d = random_diagram(rng, max_crossings=4, max_double_lines=6)
@@ -301,7 +310,31 @@ class TestSuccessors:
                 every += expect
                 hits[kind] += len(expect)
             assert successors(d, ALL_KINDS) == every, dl.serialize(d)
+            keyed = [(MoveInstance(k, ps), key) for k, ps, key, _, _ in _keyed_children(d, ALL_KINDS)]
+            expect = [(m, dl.canonical_key(c)) for m, c in every if not is_mirror(m)]
+            assert keyed == expect, dl.serialize(d)
         assert set(hits) == ALL_KINDS and all(hits.values()), hits
+
+    def test_r2add_mirrors(self, rng):
+        # eps=e pos1=p pos2=q role=O and eps=-e pos1=q pos2=p role=U give
+        # one word up to renaming; the search skips the later one, with
+        # pos1 > pos2, unkeyed.
+        other = {dl.OVER: dl.UNDER, dl.UNDER: dl.OVER}
+        mirrors = 0
+        for i in range(300):
+            d = dl.parse("") if i == 0 else random_diagram(rng, max_crossings=3, max_double_lines=4)
+            kids = successors(d, {R2_ADD})
+            index = {m: i for i, (m, _) in enumerate(kids)}
+            for j, (m, child) in enumerate(kids):
+                if m["pos1"] == m["pos2"]:
+                    continue
+                twin = mk(R2_ADD, eps=-m["eps"], pos1=m["pos2"], pos2=m["pos1"], role=other[m["role"]])
+                assert dl.canonical_key(child) == dl.canonical_key(kids[index[twin]][1])
+                assert (index[twin] < j) == is_mirror(m)
+                mirrors += is_mirror(m)
+            unmirrored = [MoveInstance(k, ps) for k, ps, _, _ in _instances(d, {R2_ADD}, mirrors=False)]
+            assert unmirrored == [m for m, _ in kids if not is_mirror(m)]
+        assert mirrors > 1000, mirrors
 
     def test_unknown_kind(self):
         with pytest.raises(MoveError, match="unknown move kind"):
