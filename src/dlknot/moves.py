@@ -160,13 +160,18 @@ def _read_move(kind: str, params: dict) -> MoveInstance:
     return m
 
 
+def _check_repeats(m: MoveInstance) -> None:
+    """Raise MoveError on a repeated parameter name, naming the first repeat."""
+    if len({k for k, _ in m.params}) != len(m.params):
+        k = next(k for i, (k, _) in enumerate(m.params) if k in dict(m.params[:i]))
+        raise MoveError(f"repeated move parameter {k!r}")
+
+
 def _check_names(m: MoveInstance) -> None:
     """Raise MoveError on a repeated parameter name, or on a parameter that
     ``m``'s kind does not take; a missing one is named first, as ``apply``
     names it."""
-    if len({k for k, _ in m.params}) != len(m.params):
-        k = next(k for i, (k, _) in enumerate(m.params) if k in dict(m.params[:i]))
-        raise MoveError(f"repeated move parameter {k!r}")
+    _check_repeats(m)
     names = PARAMS[m.kind]
     for key, _ in m.params:
         if key not in names:
@@ -564,6 +569,10 @@ class MoveTrace:
         return cls(_read_start(lines[0]), steps)
 
     def to_json(self) -> str:
+        """The trace as JSON; MoveError on a step with a repeated parameter
+        name, which a JSON object cannot hold."""
+        for s in self.steps:
+            _check_repeats(s)
         return json.dumps(
             {
                 "start": serialize(self.start),

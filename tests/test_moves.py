@@ -509,6 +509,17 @@ class TestTrace:
             with pytest.raises(MoveError, match="^DlPairAdd5 takes no parameter 'foo'$"):
                 read(text)
 
+    def test_library_trace_with_repeated_parameter(self):
+        # JSON cannot hold a repeated name: to_json refuses the step with
+        # apply's error instead of writing only the last value, which would
+        # read back as a trace that replays.
+        move = MoveInstance(DL_PAIR_CANCEL, (("pos", 0), ("pos", 1)))
+        t = MoveTrace(dl.parse("U1+ D+ D- O1+"), (mk(DL_PAIR_ADD, pos=0, sign=1), move))
+        with pytest.raises(MoveError, match="^repeated move parameter 'pos'$"):
+            dl.apply(t.start, move)
+        with pytest.raises(MoveError, match="^repeated move parameter 'pos'$"):
+            t.to_json()
+
     # A start built directly, with crossing ids out of first-occurrence
     # order: reading it back must keep the ids the steps refer to.
     UNORDERED = DlDiagram(
