@@ -15,13 +15,16 @@ mean "insert before the token currently at that index".
 Five moves match a pattern at one to three sites: R1Remove, R2Remove and
 DlPairCancel5 delete their pairs; DlSlide4 and R3 swap the two tokens of
 each pair.  ``_site_error`` holds the pattern test for all five; the three
-one-site patterns are one pair test, ``_pair_kind``.
+one-site patterns are one pair test, ``_pair_kind``, and R3 checks the
+crossing signs of its three sites as well as their roles.
 
-``successors`` lists every applicable instance with its child: one walk
-classifies every adjacent pair with ``_pair_kind``, only R2Remove and R3
-candidates go through ``_site_error``, and other parameters run over the
-one table of their values, ``VALUES``.  ``enumerate_moves`` is its list
-of moves.  ``apply`` checks every site and parameter of a move from
+``successors`` lists every applicable instance with its child, from the
+one enumeration of sites, ``_instances``: one walk classifies every
+adjacent pair with ``_pair_kind``, only R2Remove and R3 candidates go
+through ``_site_error``, and other parameters run over the one table of
+their values, ``VALUES``.  ``enumerate_moves`` is its list of moves, and
+the search reads ``_instances`` itself, to key children before it builds
+them.  ``apply`` checks every site and parameter of a move from
 outside (a trace, the CLI, a caller) by the same rules and then builds
 the child with the same builder as ``successors``: one each to insert,
 delete pairs, swap pairs, and replace a crossing's passages.
@@ -383,9 +386,23 @@ def _site_error(tokens: tuple[Token, ...], kind: str, sites: Sequence[int]) -> s
             return "need exactly three crossings"
         if any(len(where) != 2 or where[0] == where[1] for where in ids.values()):
             return "each crossing must span two distinct sites"
-        signatures = sorted(tuple(sorted((ts[i].role, ts[i + 1].role))) for i in (0, 2, 4))
-        if signatures != [("O", "O"), ("O", "U"), ("U", "U")]:
+        strands = {"".join(sorted(ts[i].role + ts[i + 1].role)): ts[i : i + 2] for i in (0, 2, 4)}
+        if len(strands) != 3:
             return "over/under pattern mismatch"
+        # The signs of a planar R3 (Polyak 2010): the top strand (OO) passes
+        # over the middle (OU) at tm and over the bottom (UU) at tb, and the
+        # middle over the bottom at mb; om, ot and ob say whether the middle
+        # and the top strand meet tm first and the bottom strand meets tb first.
+        top, middle, bottom = strands["OO"], strands["OU"], strands["UU"]
+        om = middle[0].role == UNDER
+        tm, mb = middle if om else middle[::-1]
+        ot = top[0].crossing_id == tm.crossing_id
+        tb = top[1] if ot else top[0]
+        ob = bottom[0].crossing_id == tb.crossing_id
+        if tm.sign * tb.sign != (1 if om == ob else -1):
+            return "crossing signs do not fit the pattern"
+        if tb.sign * mb.sign != (1 if ot == om else -1):
+            return "crossing signs do not fit the pattern"
     if len({q % n for p in sites for q in (p, p + 1)}) != 2 * len(sites):
         return "overlapping sites"
     return None

@@ -162,6 +162,19 @@ class TestApply:
         with pytest.raises(MoveError, match="^repeated move parameter 'pos'$"):
             MoveInstance.from_line(move.to_line())
 
+    def test_r3_crossing_signs(self):
+        # Top strand O1 O2, middle U1 O3, bottom U2 U3, all meeting their
+        # first crossing first: the three signs must be equal.  Flipping the
+        # sign of any one crossing breaks the site.
+        move = mk(R3, pos1=0, pos2=2, pos3=4)
+        d = dl.parse("O1+ O2+ U1+ O3+ U2+ U3+")
+        child = dl.apply(d, move)
+        assert dl.serialize(child) == "O2+ O1+ O3+ U1+ U3+ U2+"
+        assert dl.apply(child, move) == d
+        for text in ("O1- O2+ U1- O3+ U2+ U3+", "O1+ O2- U1+ O3+ U2- U3+", "O1+ O2+ U1+ O3- U2+ U3-"):
+            with pytest.raises(MoveError, match="^R3: crossing signs do not fit the pattern$"):
+                dl.apply(dl.parse(text), move)
+
     # A move that applies to ``U1+ O1+`` for each parameter in ``VALUES``.
     VALUED = {
         "order": mk(R1_ADD, pos=0, order="UO", sign=1),

@@ -34,7 +34,7 @@ def search(start, target, **bounds):
 # (start, target, max_moves, max_len, explored): exhaustive misses, whose
 # explored count is the number of states within the bounds.
 MISSES = [
-    ("U1+ D+ O1+", "U1+ D+ O1+ D+", 2, 7, 405),
+    ("U1+ D+ O1+", "U1+ D+ O1+ D+", 2, 7, 401),
     ("U1+ D+ O1+ D-", "D+", 2, 9, 825),
 ]
 
@@ -50,7 +50,7 @@ def test_pinned_free_crossing_change():
     # A crossing changed in three moves, with no double line left over.
     start, target = "U1+ O2+ U3+ O1+ U2+ O3+", "O1- O2+ U3+ U1- U2+ O3+"
     res = search(start, target, max_moves=3, max_len=12)
-    assert res.found and res.explored == 4253
+    assert res.found and res.explored == 4249
     assert [m.to_line() for m in res.trace.steps] == [
         "CrossingChange chirality=1 crossing_id=1",
         "DlSlide4 pos=3",
