@@ -462,7 +462,8 @@ def _instances(
                 for pos2 in ins_positions if mirrors else ins_positions[pos1:]:
                     for role, eps, (block1, block2) in blocks:
                         params = (("eps", eps), ("pos1", pos1), ("pos2", pos2), ("role", role))
-                        yield kind, params, partial(_insert, tokens, pos1, block1, pos2, block2), None
+                        build = partial(_insert, tokens, pos1, block1, pos2, block2)
+                        yield kind, params, build, None
         elif kind == R2_REMOVE:
             # The second site ends at the partner of tokens[pos1], so each
             # pos1 has one candidate pos2.  The pattern is symmetric in its
@@ -475,10 +476,14 @@ def _instances(
         elif kind == R3:
             # Only three sites whose crossing pairs are the three pairs of
             # three crossings can pass the pattern test.
-            pair = {p: frozenset((tokens[p].crossing_id, tokens[(p + 1) % n].crossing_id)) for p in adj}
+            pair = {
+                p: frozenset((tokens[p].crossing_id, tokens[(p + 1) % n].crossing_id)) for p in adj
+            }
             for sites in combinations(adj, 3):
                 x, y, z = (pair[p] for p in sites)
-                if x != y != z != x and len(x | y | z) == 3 and _site_error(tokens, R3, sites) is None:
+                if len({x, y, z}) != 3 or len(x | y | z) != 3:
+                    continue
+                if _site_error(tokens, R3, sites) is None:
                     params = (("pos1", sites[0]), ("pos2", sites[1]), ("pos3", sites[2]))
                     yield kind, params, partial(_swap, tokens, sites), None
         elif kind == DL_PAIR_ADD:

@@ -4,13 +4,14 @@ The move graph is infinite, so the search is bounded by a maximum number
 of moves and a maximum token length.  A state is expanded once, over the
 instances that ``successors`` lists, and only with the move kinds whose
 growth (``moves.GROWTH``) fits the length bound; states are deduplicated
-on ``canonical_key``.  The search keys each child first and builds only
-the new children it queues: an R1Add or DlPairAdd5 child is keyed from
-its parent's code, without being built, and an R2Add child that mirrors
-an earlier sibling is skipped unkeyed.  Children at the last depth are
-keyed and counted but not queued.  A hit comes with a replayable trace;
-a miss means only that the target is not reachable within the bounds, or
-that the degrees differ.
+on ``canonical_key``.  The search keys each child before it builds it:
+an R1Add or DlPairAdd5 child, the parent with one two-token block
+inserted, is keyed from its parent's code and built only when its key is
+new and it is queued; an R2Add child that mirrors an earlier sibling is
+skipped without a key; every other child is built to be keyed.  Children
+at the last depth are keyed and counted but not queued.  A hit comes
+with a replayable trace; a miss means only that the target is not
+reachable within the bounds, or that the degrees differ.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def bfs_search(
             if key == goal:
                 trace = MoveTrace(start, path + (MoveInstance(kind, params),))
                 return SearchResult(True, trace, explored, max_moves, max_len)
-            # A child at the last depth is keyed and counted, not built.
+            # A child at the last depth is keyed and counted, not queued.
             if not last:
                 queue.append((child or build(), path + (MoveInstance(kind, params),)))
     return SearchResult(False, None, explored, max_moves, max_len)
