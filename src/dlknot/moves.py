@@ -593,16 +593,11 @@ class MoveTrace:
     def to_json(self) -> str:
         """The trace as JSON; MoveError on a step with a repeated parameter
         name, which a JSON object cannot hold."""
-        for s in self.steps:
-            _check_repeats(s)
-        return json.dumps(
-            {
-                "start": serialize(self.start),
-                "steps": [
-                    {"kind": s.kind, "params": dict(s.params)} for s in self.steps
-                ],
-            }
-        )
+        steps = [{"kind": s.kind, "params": dict(s.params)} for s in self.steps]
+        for s, step in zip(self.steps, steps):
+            if len(step["params"]) != len(s.params):
+                _check_repeats(s)
+        return json.dumps({"start": serialize(self.start), "steps": steps})
 
     @classmethod
     def from_json(cls, text: str) -> "MoveTrace":
