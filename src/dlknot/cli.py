@@ -124,8 +124,8 @@ def cmd_link_separable(args):
     return payload, text, EXIT_NEGATIVE
 
 
-def _parse_kinds(text: str | None) -> frozenset[str]:
-    if not text or text == "all":
+def _parse_kinds(text: str) -> frozenset[str]:
+    if text == "all":
         return ALL_KINDS
     kinds = frozenset(text.split(","))
     unknown = kinds - ALL_KINDS

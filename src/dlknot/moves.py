@@ -5,7 +5,8 @@ Reidemeister moves, sliding a double line past a crossing, creation and
 cancellation of an adjacent opposite-sign double-line pair, and the two
 derived moves (crossing change, crossing sliding).  Every move is a
 ``MoveInstance``: a kind plus a fully-parameterized site, so applications
-are replayable and invertible.
+are replayable and invertible.  A ``MoveInstance`` of a known kind names
+each of its kind's parameters once and no other, or it is not built.
 
 Position conventions: a site is a position ``p`` of the current token
 tuple and names the adjacent pair ``(p, p+1)``; adjacency is cyclic, so
@@ -24,10 +25,11 @@ adjacent pair with ``_pair_kind``, only R2Remove and R3 candidates go
 through ``_site_error``, and other parameters run over the one table of
 their values, ``VALUES``.  ``enumerate_moves`` is its list of moves, and
 the search reads ``_instances`` itself, to key children before it builds
-them.  ``apply`` checks every site and parameter of a move from
-outside (a trace, the CLI, a caller) by the same rules and then builds
-the child with the same builder as ``successors``: one each to insert,
-delete pairs, swap pairs, and replace a crossing's passages.
+them.  ``apply`` checks the kind, parameter values, sites and crossing
+ids of a move from outside (a trace, the CLI, a caller) by the same
+rules and then builds the child with the same builder as ``successors``:
+one each to insert, delete pairs, swap pairs, and replace a crossing's
+passages.
 """
 
 from __future__ import annotations
@@ -111,15 +113,32 @@ _INT_RE = re.compile(r"-?[0-9]+")
 
 
 class MoveError(ValueError):
-    """Raised when a move instance does not match its site."""
+    """Raised when a move is ill-named or does not fit the diagram it is
+    applied to."""
 
 
 @dataclass(frozen=True)
 class MoveInstance:
-    """A fully-parameterized applicable move: kind plus site parameters."""
+    """A fully-parameterized move: kind plus site parameters.  A move of a
+    kind in ``PARAMS`` names each parameter of its kind once and no other;
+    a move of an unknown kind is left to ``apply``."""
 
     kind: str
     params: tuple[tuple[str, int | str], ...]
+
+    def __post_init__(self) -> None:
+        names = PARAMS.get(self.kind)
+        keys = tuple([k for k, _ in self.params])
+        if names is None or keys == names:
+            return
+        for i, k in enumerate(keys):
+            if k in keys[:i]:
+                raise MoveError(f"repeated move parameter {k!r}")
+        for k in names:
+            self[k]  # raises MoveError if k is missing
+        extra = set(keys) - set(names)
+        if extra:
+            raise MoveError(f"{self.kind} takes no parameter {min(extra)!r}")
 
     def __getitem__(self, key: str) -> int | str:
         for k, v in self.params:
@@ -148,40 +167,11 @@ class MoveInstance:
             # Only the spelling to_line writes: int() would also read
             # "+1", "1_0" and non-ASCII digits.
             params[k] = int(v) if _INT_RE.fullmatch(v) else v
-        return _read_move(words[0], params)
+        return mk(words[0], **params)
 
 
 def mk(kind: str, /, **params: int | str) -> MoveInstance:
     return MoveInstance(kind, tuple(sorted(params.items())))
-
-
-def _read_move(kind: str, params: dict) -> MoveInstance:
-    """A move read from a trace; an unknown kind is left to ``apply``."""
-    m = mk(kind, **params)
-    if kind in PARAMS:
-        _check_names(m)
-    return m
-
-
-def _check_repeats(m: MoveInstance) -> None:
-    """Raise MoveError on a repeated parameter name, naming the first repeat."""
-    if len({k for k, _ in m.params}) != len(m.params):
-        k = next(k for i, (k, _) in enumerate(m.params) if k in dict(m.params[:i]))
-        raise MoveError(f"repeated move parameter {k!r}")
-
-
-def _check_names(m: MoveInstance) -> None:
-    """Raise MoveError on a repeated parameter name, or on a parameter that
-    ``m``'s kind does not take; a missing one is named first, as ``apply``
-    names it."""
-    _check_repeats(m)
-    names = PARAMS[m.kind]
-    for key, _ in m.params:
-        if key not in names:
-            for k in names:
-                m[k]  # raises MoveError if k is missing
-            extra = min(k for k, _ in m.params if k not in names)
-            raise MoveError(f"{m.kind} takes no parameter {extra!r}")
 
 
 def _fresh_id(tokens: tuple[Token, ...]) -> int:
@@ -197,7 +187,6 @@ def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
     kind = m.kind
     if kind not in PARAMS:
         raise MoveError(f"unknown move kind {kind!r}")
-    _check_names(m)
 
     # A site is a token position, an insertion position may also be the end,
     # and a valued parameter is one of its VALUES by type too: True is not 1.
@@ -591,12 +580,7 @@ class MoveTrace:
         return cls(_read_start(lines[0]), steps)
 
     def to_json(self) -> str:
-        """The trace as JSON; MoveError on a step with a repeated parameter
-        name, which a JSON object cannot hold."""
         steps = [{"kind": s.kind, "params": dict(s.params)} for s in self.steps]
-        for s, step in zip(self.steps, steps):
-            if len(step["params"]) != len(s.params):
-                _check_repeats(s)
         return json.dumps({"start": serialize(self.start), "steps": steps})
 
     @classmethod
@@ -619,7 +603,7 @@ class MoveTrace:
             raise MoveError("trace JSON parameter values must be integers or text")
         return cls(
             _read_start(data.get("start")),
-            tuple(_read_move(s["kind"], s["params"]) for s in steps),
+            tuple(mk(s["kind"], **s["params"]) for s in steps),
         )
 
 

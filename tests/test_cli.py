@@ -175,8 +175,12 @@ class TestSearchAndApply:
         assert err.startswith("error: ") and err.count("\n") == 1 and "stdin" in err
 
     def test_search_bad_kind(self, capsys):
-        code, _, err = run(capsys, "search", "U1+ O1+", "U1+ O1+", "--kinds", "Nope")
-        assert code == 2 and "unknown move kinds" in err
+        # An empty list names no kind, so it is bad input like any other.
+        for kinds in ("Nope", "", ","):
+            code, out, err = run(capsys, "search", "U1+ O1+", "U1+ O1+", "--kinds", kinds)
+            assert code == 2 and out == "", kinds
+            assert err.startswith("error: ") and err.count("\n") == 1, kinds
+            assert "unknown move kinds" in err, kinds
 
     @pytest.mark.parametrize(
         "argv, message",

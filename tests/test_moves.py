@@ -132,35 +132,47 @@ class TestApply:
         with pytest.raises(MoveError):
             dl.apply(dl.parse("U1+ O1+"), move)
 
-    # Each move applies to ``U1+ O1+`` without its extra parameter; apply
-    # and the trace readers share one check, so they name it alike.
+    # A move of a known kind is built only with its kind's names, in any
+    # order; the trace readers build through the same check, so they name
+    # a bad name alike.
     @pytest.mark.parametrize(
-        "move, message",
+        "kind, params, message",
         [
-            (mk(R1_REMOVE, pos=0, order="UO"), "R1Remove takes no parameter 'order'"),
-            (mk(DL_PAIR_ADD, pos=0, sign=1, foo=3), "DlPairAdd5 takes no parameter 'foo'"),
-            (mk(CROSSING_CHANGE, crossing_id=1, direction=1),
+            (R1_REMOVE, {"pos": 0, "order": "UO"}, "R1Remove takes no parameter 'order'"),
+            (DL_PAIR_ADD, {"pos": 0, "sign": 1, "foo": 3}, "DlPairAdd5 takes no parameter 'foo'"),
+            (CROSSING_CHANGE, {"crossing_id": 1, "direction": 1},
              "CrossingChange takes no parameter 'direction'"),
-            (mk(R1_REMOVE, order="UO"), "R1Remove is missing parameter 'pos'"),
+            (R1_REMOVE, {"order": "UO"}, "R1Remove is missing parameter 'pos'"),
         ],
         ids=["R1Remove-order", "DlPairAdd5-foo", "CrossingChange-direction", "missing-pos"],
     )
-    def test_extra_parameters_rejected(self, move, message):
+    def test_extra_parameters_rejected(self, kind, params, message):
         with pytest.raises(MoveError, match=f"^{message}$"):
-            dl.apply(dl.parse("U1+ O1+"), move)
+            mk(kind, **params)
         with pytest.raises(MoveError, match=f"^{message}$"):
-            MoveInstance.from_line(move.to_line())
+            MoveInstance(kind, tuple(params.items()))
+        line = " ".join([kind] + [f"{k}={v}" for k, v in sorted(params.items())])
+        with pytest.raises(MoveError, match=f"^{message}$"):
+            MoveInstance.from_line(line)
 
     def test_repeated_parameter_rejected(self):
-        # A move built directly can repeat a name, which a move line cannot
-        # hold: apply, replay and the reader reject it alike.
-        d, move = dl.parse("U1+ O1+"), MoveInstance(R1_REMOVE, (("pos", 0), ("pos", 1)))
+        # A move built directly cannot repeat a name, which a move line
+        # cannot hold either: both are refused alike.
         with pytest.raises(MoveError, match="^repeated move parameter 'pos'$"):
-            dl.apply(d, move)
-        with pytest.raises(ReplayError, match="repeated move parameter 'pos'$"):
-            dl.replay(MoveTrace(d, (move,)))
+            MoveInstance(R1_REMOVE, (("pos", 0), ("pos", 1)))
         with pytest.raises(MoveError, match="^repeated move parameter 'pos'$"):
-            MoveInstance.from_line(move.to_line())
+            MoveInstance.from_line("R1Remove pos=0 pos=1")
+
+    def test_names_in_any_order(self):
+        # A move built directly with its kind's names in another order than
+        # mk's applies as mk's does; a move of an unknown kind is built, and
+        # replay names the step that apply refuses.
+        d = dl.parse("U1+ O1+")
+        shuffled = MoveInstance(R2_ADD, (("role", "O"), ("pos2", 1), ("eps", 1), ("pos1", 0)))
+        assert dl.apply(d, shuffled) == dl.apply(d, mk(R2_ADD, pos1=0, pos2=1, role="O", eps=1))
+        nope = MoveInstance("Nope", (("pos", 0), ("pos", 1)))
+        with pytest.raises(ReplayError, match="^step 0 not applicable: unknown move kind 'Nope'$"):
+            dl.replay(MoveTrace(d, (nope,)))
 
     def test_r3_crossing_signs(self):
         # Top strand O1 O2, middle U1 O3, bottom U2 U3: the top and middle
@@ -397,6 +409,8 @@ class TestOutputsValid:
                 steps.append(m)
                 kinds[m.kind] += 1
             t = MoveTrace(start, tuple(steps))
+            assert MoveTrace.from_text(t.to_text()) == t
+            assert MoveTrace.from_json(t.to_json()) == t
             assert dl.replay(MoveTrace.from_text(t.to_text())) == cur
         assert set(kinds) == dl.ALL_KINDS, kinds
         for _ in range(100):
@@ -406,6 +420,8 @@ class TestOutputsValid:
                 cur = dl.apply(cur, m)
                 assert_valid(cur)
             assert dl.replay(trace) == cur
+            assert MoveTrace.from_text(trace.to_text()) == trace
+            assert MoveTrace.from_json(trace.to_json()) == trace
 
     # Lone passages and broken pairs.
     @pytest.mark.parametrize("text", ["U1+", "O1+ D+", "U1+ U1+", "U1+ O1-", "U1+ O1+ U1+"])
@@ -522,26 +538,26 @@ class TestTrace:
         assert e.value.index == 1
 
     def test_library_trace_with_extra_parameter(self):
-        # A trace built in the library does not replay with a parameter that
-        # its text and JSON forms could not be read back with.
-        t = MoveTrace(dl.parse("U1+ O1+"), (mk(DL_PAIR_ADD, pos=0, sign=1, foo=3),))
-        with pytest.raises(ReplayError, match="takes no parameter 'foo'") as e:
-            dl.replay(t)
-        assert e.value.index == 0
-        for read, text in ((MoveTrace.from_text, t.to_text()), (MoveTrace.from_json, t.to_json())):
+        # A trace built in the library cannot hold a step that its text and
+        # JSON forms could not be read back with: the step is not built.
+        with pytest.raises(MoveError, match="^DlPairAdd5 takes no parameter 'foo'$"):
+            mk(DL_PAIR_ADD, pos=0, sign=1, foo=3)
+        step = {"kind": DL_PAIR_ADD, "params": {"foo": 3, "pos": 0, "sign": 1}}
+        for read, text in (
+            (MoveTrace.from_text, "U1+ O1+\nDlPairAdd5 foo=3 pos=0 sign=1\n"),
+            (MoveTrace.from_json, json.dumps({"start": "U1+ O1+", "steps": [step]})),
+        ):
             with pytest.raises(MoveError, match="^DlPairAdd5 takes no parameter 'foo'$"):
                 read(text)
 
     def test_library_trace_with_repeated_parameter(self):
-        # JSON cannot hold a repeated name: to_json refuses the step with
-        # apply's error instead of writing only the last value, which would
-        # read back as a trace that replays.
-        move = MoveInstance(DL_PAIR_CANCEL, (("pos", 0), ("pos", 1)))
-        t = MoveTrace(dl.parse("U1+ D+ D- O1+"), (mk(DL_PAIR_ADD, pos=0, sign=1), move))
+        # Neither a move line nor a JSON object can hold a repeated name, so
+        # a step built with one is refused with the text reader's error.
         with pytest.raises(MoveError, match="^repeated move parameter 'pos'$"):
-            dl.apply(t.start, move)
+            MoveInstance(DL_PAIR_CANCEL, (("pos", 0), ("pos", 1)))
+        text = "U1+ D+ D- O1+\nDlPairAdd5 pos=0 sign=1\nDlPairCancel5 pos=0 pos=1\n"
         with pytest.raises(MoveError, match="^repeated move parameter 'pos'$"):
-            t.to_json()
+            MoveTrace.from_text(text)
 
     # A start built directly, with crossing ids out of first-occurrence
     # order: reading it back must keep the ids the steps refer to.
