@@ -124,24 +124,13 @@ def cmd_link_separable(args):
     return payload, text, EXIT_NEGATIVE
 
 
-def _parse_kinds(text: str) -> frozenset[str]:
-    if text == "all":
-        return ALL_KINDS
-    kinds = frozenset(text.split(","))
-    unknown = kinds - ALL_KINDS
-    if unknown:
-        raise DiagramError(f"unknown move kinds: {sorted(unknown)}")
-    return kinds
-
-
 def cmd_search(args):
     if args.src == args.dst == "-":
         raise DiagramError("only one of src and dst can be read from stdin ('-')")
     src = parse(_read_arg(args.src))
     dst = parse(_read_arg(args.dst))
-    result = search.bfs_search(
-        src, dst, max_moves=args.max_moves, max_len=args.max_len, kinds=_parse_kinds(args.kinds)
-    )
+    kinds = ALL_KINDS if args.kinds == "all" else frozenset(args.kinds.split(","))
+    result = search.bfs_search(src, dst, args.max_moves, args.max_len, kinds)
     if not result.found:
         payload = {"found": False, "explored": result.explored, "moves": None}
         return payload, f"not found (explored {result.explored} diagrams)", EXIT_NEGATIVE

@@ -5,7 +5,7 @@ Reidemeister moves, sliding a double line past a crossing, creation and
 cancellation of an adjacent opposite-sign double-line pair, and the two
 derived moves (crossing change, crossing sliding).  Every move is a
 ``MoveInstance``: a kind plus a fully-parameterized site, so applications
-are replayable and invertible.  A ``MoveInstance`` of a known kind names
+are replayable and invertible.  A ``MoveInstance`` names a known kind and
 each of its kind's parameters once and no other, or it is not built.
 
 Position conventions: a site is a position ``p`` of the current token
@@ -25,9 +25,9 @@ adjacent pair with ``_pair_kind``, only R2Remove and R3 candidates go
 through ``_site_error``, and other parameters run over the one table of
 their values, ``VALUES``.  ``enumerate_moves`` is its list of moves, and
 the search reads ``_instances`` itself, to key children before it builds
-them.  ``apply`` checks the kind, parameter values, sites and crossing
-ids of a move from outside (a trace, the CLI, a caller) by the same
-rules and then builds the child with the same builder as ``successors``:
+them.  ``apply`` checks the parameter values, sites and crossing ids of
+a move from outside (a trace, the CLI, a caller) by the same rules and
+then builds the child with the same builder as ``successors``:
 one each to insert, delete pairs, swap pairs, and replace a crossing's
 passages.
 """
@@ -113,15 +113,14 @@ _INT_RE = re.compile(r"-?[0-9]+")
 
 
 class MoveError(ValueError):
-    """Raised when a move is ill-named or does not fit the diagram it is
-    applied to."""
+    """Raised when a move names an unknown kind or its parameters wrongly,
+    or does not fit the diagram it is applied to."""
 
 
 @dataclass(frozen=True)
 class MoveInstance:
-    """A fully-parameterized move: kind plus site parameters.  A move of a
-    kind in ``PARAMS`` names each parameter of its kind once and no other;
-    a move of an unknown kind is left to ``apply``."""
+    """A fully-parameterized move: a kind of ``PARAMS`` plus each parameter
+    of that kind once and no other, or it is not built."""
 
     kind: str
     params: tuple[tuple[str, int | str], ...]
@@ -129,8 +128,10 @@ class MoveInstance:
     def __post_init__(self) -> None:
         names = PARAMS.get(self.kind)
         keys = tuple([k for k, _ in self.params])
-        if names is None or keys == names:
+        if keys == names:
             return
+        if names is None:
+            raise MoveError(f"unknown move kind {self.kind!r}")
         for i, k in enumerate(keys):
             if k in keys[:i]:
                 raise MoveError(f"repeated move parameter {k!r}")
@@ -154,20 +155,20 @@ class MoveInstance:
 
     @classmethod
     def from_line(cls, line: str) -> "MoveInstance":
+        """The move a ``to_line`` line names, checked as any move is built."""
         words = line.split()
-        if not words or words[0] not in ALL_KINDS:
+        if not words:
             raise MoveError(f"bad move line {line!r}")
-        params: dict[str, int | str] = {}
+        params = []
         for w in words[1:]:
             if "=" not in w:
                 raise MoveError(f"bad move parameter {w!r}")
             k, v = w.split("=", 1)
-            if k in params:
-                raise MoveError(f"repeated move parameter {k!r}")
             # Only the spelling to_line writes: int() would also read
             # "+1", "1_0" and non-ASCII digits.
-            params[k] = int(v) if _INT_RE.fullmatch(v) else v
-        return mk(words[0], **params)
+            params.append((k, int(v) if _INT_RE.fullmatch(v) else v))
+        # By name alone: the values of a repeated name may not compare.
+        return cls(words[0], tuple(sorted(params, key=lambda kv: kv[0])))
 
 
 def mk(kind: str, /, **params: int | str) -> MoveInstance:
@@ -180,13 +181,11 @@ def _fresh_id(tokens: tuple[Token, ...]) -> int:
 
 
 def apply(d: DlDiagram, m: MoveInstance) -> DlDiagram:
-    """Apply a move instance; raise MoveError on a bad parameter or a
-    pattern mismatch.  The child is built as ``successors`` builds it."""
+    """Apply a move instance; raise MoveError on a bad parameter value, site
+    or crossing id.  The child is built as ``successors`` builds it."""
     tokens = d.tokens
     n = len(tokens)
     kind = m.kind
-    if kind not in PARAMS:
-        raise MoveError(f"unknown move kind {kind!r}")
 
     # A site is a token position, an insertion position may also be the end,
     # and a valued parameter is one of its VALUES by type too: True is not 1.
@@ -511,7 +510,7 @@ def invert(m: MoveInstance, context: DlDiagram) -> list[MoveInstance]:
     restores ``context`` up to canonical equality, for every kind.  A
     re-added crossing gets a fresh id, and a deleted pair that crossed the
     end of the word goes back at the end, a rotation of ``context``."""
-    after = apply(context, m)
+    apply(context, m)  # raises MoveError if m does not fit context
     kind = m.kind
     if kind in _SWAP_KINDS:
         return [m]  # a swap is its own inverse
@@ -537,20 +536,17 @@ def invert(m: MoveInstance, context: DlDiagram) -> list[MoveInstance]:
             return [mk(DL_PAIR_ADD, pos=ins[0], sign=first.sign)]
         return [mk(R2_ADD, pos1=ins[0], pos2=ins[1], role=first.role, eps=first.sign)]
 
-    # CrossingChange or CrossingSliding: the opposite move leaves opposite
-    # pairs at offsets -2 and +1 around each passage hugged twice: the Over
-    # for chirality 1, the Under for -1, the Under then the Over for a slide.
+    # CrossingChange or CrossingSliding: the opposite move leaves a block
+    # "pair, passage, pair" at p, where each passage hugged twice stood (the
+    # Over for chirality 1, the Under for -1, both for a slide), cancelled at
+    # p and p + 1; a slide's Under block goes first, 4 on past an Over block.
     key = "chirality" if kind == CROSSING_CHANGE else "direction"
     cid, s = m["crossing_id"], m[key]
-    steps = [mk(kind, crossing_id=cid, **{key: -s})]
-    cur = apply(after, steps[0])
-    roles = (OVER if s == 1 else UNDER,) if kind == CROSSING_CHANGE else (UNDER, OVER)
-    for role in roles:
-        for offset in (-2, 1):
-            idx = cur.passage_index(cid, role)
-            steps.append(mk(DL_PAIR_CANCEL, pos=(idx + offset) % len(cur.tokens)))
-            cur = apply(cur, steps[-1])
-    return steps
+    i, j = _passages_of(tokens, cid)
+    o, u = (i, j) if tokens[i].role == OVER else (j, i)
+    blocks = [o if s == 1 else u] if kind == CROSSING_CHANGE else [u + 4 * (o < u), o]
+    cancels = [mk(DL_PAIR_CANCEL, pos=q) for p in blocks for q in (p, p + 1)]
+    return [mk(kind, crossing_id=cid, **{key: -s})] + cancels
 
 
 class ReplayError(ValueError):

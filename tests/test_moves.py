@@ -165,14 +165,21 @@ class TestApply:
 
     def test_names_in_any_order(self):
         # A move built directly with its kind's names in another order than
-        # mk's applies as mk's does; a move of an unknown kind is built, and
-        # replay names the step that apply refuses.
+        # mk's applies as mk's does; a move of an unknown kind is not built,
+        # whichever way it is made, so both trace readers refuse it at read.
         d = dl.parse("U1+ O1+")
         shuffled = MoveInstance(R2_ADD, (("role", "O"), ("pos2", 1), ("eps", 1), ("pos1", 0)))
         assert dl.apply(d, shuffled) == dl.apply(d, mk(R2_ADD, pos1=0, pos2=1, role="O", eps=1))
-        nope = MoveInstance("Nope", (("pos", 0), ("pos", 1)))
-        with pytest.raises(ReplayError, match="^step 0 not applicable: unknown move kind 'Nope'$"):
-            dl.replay(MoveTrace(d, (nope,)))
+        json_trace = '{"start": "U1+ O1+", "steps": [{"kind": "Nope", "params": {"pos": 0}}]}'
+        for build in (
+            lambda: MoveInstance("Nope", (("pos", 0),)),
+            lambda: mk("Nope", pos=0),
+            lambda: MoveInstance.from_line("Nope pos=0"),
+            lambda: MoveTrace.from_text("U1+ O1+\nNope pos=0"),
+            lambda: MoveTrace.from_json(json_trace),
+        ):
+            with pytest.raises(MoveError, match="^unknown move kind 'Nope'$"):
+                build()
 
     def test_r3_crossing_signs(self):
         # Top strand O1 O2, middle U1 O3, bottom U2 U3: the top and middle
