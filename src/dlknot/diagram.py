@@ -100,13 +100,6 @@ class DlDiagram:
     def double_line_count(self) -> int:
         return sum(1 for t in self.tokens if isinstance(t, DoubleLine))
 
-    def passage_index(self, crossing_id: int, role: str) -> int:
-        """Position of the given passage token, or raise DiagramError."""
-        for i, t in enumerate(self.tokens):
-            if isinstance(t, Passage) and t.crossing_id == crossing_id and t.role == role:
-                return i
-        raise DiagramError(f"no passage {role}{crossing_id} in diagram")
-
     def __str__(self) -> str:
         return serialize(self)
 

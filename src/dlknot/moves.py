@@ -25,11 +25,12 @@ adjacent pair with ``_pair_kind``, only R2Remove and R3 candidates go
 through ``_site_error``, and other parameters run over the one table of
 their values, ``VALUES``.  ``enumerate_moves`` is its list of moves, and
 the search reads ``_instances`` itself, to key children before it builds
-them.  ``apply`` checks the parameter values, sites and crossing ids of
-a move from outside (a trace, the CLI, a caller) by the same rules and
-then builds the child with the same builder as ``successors``:
-one each to insert, delete pairs, swap pairs, and replace a crossing's
-passages.
+them; all three list each R2Add child once, with ``pos1 <= pos2``.
+``apply`` checks the parameter values, sites and crossing ids of a move
+from outside (a trace, the CLI, a caller) by the same rules, takes either
+spelling of an R2Add, and then builds the child with the same builder as
+``successors``: one each to insert, delete pairs, swap pairs, and replace
+a crossing's passages.
 """
 
 from __future__ import annotations
@@ -397,7 +398,7 @@ def _site_error(tokens: tuple[Token, ...], kind: str, sites: Sequence[int]) -> s
 
 
 def _instances(
-    d: DlDiagram, kinds: Iterable[str] = ALL_KINDS, mirrors: bool = True
+    d: DlDiagram, kinds: Iterable[str] = ALL_KINDS
 ) -> Iterator[tuple[str, tuple, Callable[[], DlDiagram], tuple[int, tuple[int, int]] | None]]:
     """Every applicable instance of the requested kinds, in the order of
     ``successors``, as ``(kind, params, build, insert)``:
@@ -411,10 +412,9 @@ def _instances(
     The parameters are written in name order, as ``mk`` sorts them, and
     each child comes from the builder that ``apply`` uses for its kind.
 
-    Without ``mirrors``, R2Add leaves out its instances with
-    ``pos1 > pos2``: ``eps=e pos1=p pos2=q role=O`` and ``eps=-e pos1=q
-    pos2=p role=U`` give the same word up to renaming, and the one with
-    ``pos1 < pos2`` comes first.
+    R2Add is listed only with ``pos1 <= pos2``, each child once: the mirror
+    ``eps=-e pos1=q pos2=p role=U`` of ``eps=e pos1=p pos2=q role=O`` gives
+    the same word up to renaming, and ``apply`` and ``invert`` take both.
     """
     tokens = d.tokens
     n = len(tokens)
@@ -447,7 +447,7 @@ def _instances(
         elif kind == R2_ADD:
             blocks = [(r, e, _r2_blocks(fresh, r, e)) for r in VALUES["role"] for e in VALUES["eps"]]
             for pos1 in ins_positions:
-                for pos2 in ins_positions if mirrors else ins_positions[pos1:]:
+                for pos2 in ins_positions[pos1:]:
                     for role, eps, (block1, block2) in blocks:
                         params = (("eps", eps), ("pos1", pos1), ("pos2", pos2), ("role", role))
                         build = partial(_insert, tokens, pos1, block1, pos2, block2)
@@ -495,13 +495,14 @@ def successors(
     d: DlDiagram, kinds: Iterable[str] = ALL_KINDS
 ) -> list[tuple[MoveInstance, DlDiagram]]:
     """Every applicable instance of the requested kinds with its child, in
-    deterministic order: the kinds sorted, then each kind's sites."""
+    deterministic order: the kinds sorted, then each kind's sites.  Each
+    R2Add child comes once, with ``pos1 <= pos2``."""
     return [(MoveInstance(k, ps), build()) for k, ps, build, _ in _instances(d, kinds)]
 
 
 def enumerate_moves(d: DlDiagram, kinds: Iterable[str] = ALL_KINDS) -> list[MoveInstance]:
-    """All applicable instances of the requested kinds, in the order of
-    ``successors``."""
+    """The moves of ``successors``, in its order: each R2Add child once,
+    though ``apply`` takes both spellings."""
     return [MoveInstance(k, ps) for k, ps, _, _ in _instances(d, kinds)]
 
 

@@ -2,16 +2,16 @@
 
 The move graph is infinite, so the search is bounded by a maximum number
 of moves and a maximum token length.  A state is expanded once, over the
-instances that ``successors`` lists, and only with the move kinds whose
-growth (``moves.GROWTH``) fits the length bound; states are deduplicated
-on ``canonical_key``.  The search keys each child before it builds it:
-an R1Add or DlPairAdd5 child, the parent with one two-token block
-inserted, is keyed from its parent's code and built only when its key is
-new and it is queued; an R2Add child that mirrors an earlier sibling is
-skipped without a key; every other child is built to be keyed.  Children
-at the last depth are keyed and counted but not queued.  A hit comes
-with a replayable trace; a miss means only that the target is not
-reachable within the bounds, or that the degrees differ.
+instances that ``successors`` lists (each R2Add child once), and only
+with the move kinds whose growth (``moves.GROWTH``) fits the length
+bound; states are deduplicated on ``canonical_key``.  The search keys
+each child before it builds it: an R1Add or DlPairAdd5 child, the parent
+with one two-token block inserted, is keyed from its parent's code and
+built only when its key is new and it is queued; every other child is
+built to be keyed.  Children at the last depth are keyed and counted but
+not queued.  A hit comes with a replayable trace; a miss means only that
+the target is not reachable within the bounds, or that the degrees
+differ.
 """
 
 from __future__ import annotations
@@ -29,20 +29,18 @@ class SearchResult:
     found: bool
     trace: MoveTrace | None
     explored: int
-    max_moves: int
-    max_len: int
 
 
 def _keyed_children(
     d: DlDiagram, kinds: Iterable[str]
 ) -> Iterator[tuple[str, tuple, tuple[int, ...], DlDiagram | None, Callable[[], DlDiagram]]]:
-    """The instances of ``successors(d, kinds)`` but R2Add's mirrors, each
-    as ``(kind, params, key, child, build)`` with the child's canonical
-    key.  An insertion child is keyed from ``d``'s code, the block's two
-    codes followed by the gap's row of ``diagram._gap_codes``, and comes
-    unbuilt (``child`` None); every other child is built and keyed."""
+    """The instances of ``successors(d, kinds)``, each as ``(kind, params,
+    key, child, build)`` with the child's canonical key.  An insertion
+    child is keyed from ``d``'s code, the block's two codes followed by the
+    gap's row of ``diagram._gap_codes``, and comes unbuilt (``child``
+    None); every other child is built and keyed."""
     gaps = None
-    for kind, params, build, insert in _instances(d, kinds, mirrors=False):
+    for kind, params, build, insert in _instances(d, kinds):
         if insert is None:
             child = build()
             yield kind, params, canonical_key(child), child, build
@@ -74,12 +72,12 @@ def bfs_search(
     if not all(type(b) is int and b >= 0 for b in (max_moves, max_len)):
         raise ValueError(f"bounds must be non-negative ints: {max_moves=}, {max_len=}")
     if check_invariants and degree(start) != degree(target):
-        return SearchResult(False, None, 0, max_moves, max_len)
+        return SearchResult(False, None, 0)
 
     goal = canonical_key(target)
     start_key = canonical_key(start)
     if start_key == goal:
-        return SearchResult(True, MoveTrace(start, ()), 1, max_moves, max_len)
+        return SearchResult(True, MoveTrace(start, ()), 1)
 
     seen = {start_key}
     queue: deque[tuple[DlDiagram, tuple[MoveInstance, ...]]] = deque()
@@ -98,8 +96,8 @@ def bfs_search(
             explored += 1
             if key == goal:
                 trace = MoveTrace(start, path + (MoveInstance(kind, params),))
-                return SearchResult(True, trace, explored, max_moves, max_len)
+                return SearchResult(True, trace, explored)
             # A child at the last depth is keyed and counted, not queued.
             if not last:
                 queue.append((child or build(), path + (MoveInstance(kind, params),)))
-    return SearchResult(False, None, explored, max_moves, max_len)
+    return SearchResult(False, None, explored)

@@ -168,7 +168,10 @@ def _interval_lines(d, cid):
     """Number of double lines on the winding interval of crossing ``cid``:
     the tokens after its Under passage and before its Over passage."""
     n = len(d.tokens)
-    u, o = d.passage_index(cid, UNDER), d.passage_index(cid, OVER)
+    at = {
+        t.role: i for i, t in enumerate(d.tokens) if isinstance(t, Passage) and t.crossing_id == cid
+    }
+    u, o = at[UNDER], at[OVER]
     return sum(isinstance(d.tokens[(u + i) % n], DoubleLine) for i in range(1, (o - u) % n))
 
 

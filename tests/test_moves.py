@@ -28,7 +28,6 @@ from dlknot.moves import (
     MoveTrace,
     VALUES,
     ReplayError,
-    _instances,
     _site_error,
     invert,
     mk,
@@ -248,11 +247,19 @@ def candidate_moves(d, kind):
     return [mk(kind, crossing_id=c, **{key: s}) for c in d.crossing_ids for s in (1, -1)]
 
 
+def is_mirror(m):
+    """An R2Add instance whose child is that of the instance with ``pos1``
+    and ``pos2`` swapped, up to renaming; that one is listed instead."""
+    return m.kind == R2_ADD and m["pos1"] > m["pos2"]
+
+
 def reference_successors(d, kind):
-    """Reference for ``successors``: each candidate that ``apply`` accepts,
-    with ``apply``'s child."""
+    """Reference for ``successors``: each candidate but R2Add's mirrors that
+    ``apply`` accepts, with ``apply``'s child."""
     out = []
     for m in candidate_moves(d, kind):
+        if is_mirror(m):
+            continue
         try:
             out.append((m, dl.apply(d, m)))
         except MoveError:
@@ -325,11 +332,6 @@ class TestEnumerate:
         assert dl.enumerate_moves(d, dl.ALL_KINDS) == dl.enumerate_moves(d, dl.ALL_KINDS)
 
 
-def is_mirror(m):
-    """An R2Add instance whose child is an earlier sibling's up to renaming."""
-    return m.kind == R2_ADD and m["pos1"] > m["pos2"]
-
-
 class TestSuccessors:
     def test_matches_apply_reference(self, rng):
         # Also the keys the search uses: each is the child's canonical key.
@@ -348,34 +350,38 @@ class TestSuccessors:
             assert successors(d, ALL_KINDS) == every, dl.serialize(d)
             kinds = ALL_KINDS if i % 10 == 0 else {R1_ADD, DL_PAIR_ADD}
             keyed = [(MoveInstance(k, ps), key) for k, ps, key, _, _ in _keyed_children(d, kinds)]
-            expect = [
-                (m, dl.canonical_key(c)) for m, c in every if m.kind in kinds and not is_mirror(m)
-            ]
+            expect = [(m, dl.canonical_key(c)) for m, c in every if m.kind in kinds]
             assert keyed == expect, dl.serialize(d)
         assert set(hits) == ALL_KINDS and all(hits.values()), hits
 
     def test_r2add_mirrors(self, rng):
         # eps=e pos1=p pos2=q role=O and eps=-e pos1=q pos2=p role=U give
-        # one word up to renaming; the search skips the later one, with
-        # pos1 > pos2, unkeyed.
+        # one word up to renaming, so only the one with pos1 <= pos2 is
+        # listed: 4 instances per pair p <= q of insertion positions.  apply
+        # still takes the other, and invert undoes it.
         other = {dl.OVER: dl.UNDER, dl.UNDER: dl.OVER}
         mirrors = 0
         for i in range(300):
             d = dl.parse("") if i == 0 else random_diagram(rng, max_crossings=3, max_double_lines=4)
             kids = successors(d, {R2_ADD})
-            index = {m: k for k, (m, _) in enumerate(kids)}
-            for j, (m, child) in enumerate(kids):
+            ins = max(len(d.tokens), 1)
+            assert len(kids) == 2 * ins * (ins + 1), dl.serialize(d)
+            assert not any(is_mirror(m) for m, _ in kids), dl.serialize(d)
+            keyed = [MoveInstance(k, ps) for k, ps, _, _, _ in _keyed_children(d, ALL_KINDS)]
+            assert dl.enumerate_moves(d, ALL_KINDS) == keyed, dl.serialize(d)
+            for m, child in kids:
                 if m["pos1"] == m["pos2"]:
                     continue
                 eps, role = -m["eps"], other[m["role"]]
-                twin = mk(R2_ADD, eps=eps, pos1=m["pos2"], pos2=m["pos1"], role=role)
-                assert dl.canonical_key(child) == dl.canonical_key(kids[index[twin]][1])
-                assert (index[twin] < j) == is_mirror(m)
-                mirrors += is_mirror(m)
-            unmirrored = _instances(d, {R2_ADD}, mirrors=False)
-            assert [MoveInstance(k, ps) for k, ps, _, _ in unmirrored] == [
-                m for m, _ in kids if not is_mirror(m)
-            ]
+                mirror = mk(R2_ADD, eps=eps, pos1=m["pos2"], pos2=m["pos1"], role=role)
+                twin = dl.apply(d, mirror)
+                assert_valid(twin)
+                assert dl.canonical_key(twin) == dl.canonical_key(child), mirror.to_line()
+                back = twin
+                for step in invert(mirror, d):
+                    back = dl.apply(back, step)
+                assert dl.canonically_equal(back, d), (dl.serialize(d), mirror.to_line())
+                mirrors += 1
         assert mirrors > 1000, mirrors
 
     def test_unknown_kind(self):

@@ -64,10 +64,10 @@ def reference_search(start, target, max_moves, max_len, kinds, check_invariants)
     ``successors``: ``enumerate_moves`` then ``apply``, a path tuple per
     state, and every new child queued."""
     if check_invariants and dl.degree(start) != dl.degree(target):
-        return SearchResult(False, None, 0, max_moves, max_len)
+        return SearchResult(False, None, 0)
     goal = dl.canonical_key(target)
     if dl.canonical_key(start) == goal:
-        return SearchResult(True, MoveTrace(start, ()), 1, max_moves, max_len)
+        return SearchResult(True, MoveTrace(start, ()), 1)
     seen = {dl.canonical_key(start)}
     queue = deque([(start, ())])
     explored = 1
@@ -86,9 +86,9 @@ def reference_search(start, target, max_moves, max_len, kinds, check_invariants)
             explored += 1
             new_path = path + (m,)
             if key == goal:
-                return SearchResult(True, MoveTrace(start, new_path), explored, max_moves, max_len)
+                return SearchResult(True, MoveTrace(start, new_path), explored)
             queue.append((nxt, new_path))
-    return SearchResult(False, None, explored, max_moves, max_len)
+    return SearchResult(False, None, explored)
 
 
 # Kind sets for the reference comparison: all kinds, none that shrink the
