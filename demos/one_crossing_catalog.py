@@ -2,11 +2,10 @@
 
 Each diagram has a single crossing with a block of |m| signed lines on
 one arc and |n| on the other.  A crossing change relates (m, n) with
-sign eps to (n-1, m+1) with sign -eps, so diagrams are grouped up to
-that partner relation; the essential double-line count tells apart
-family members whose degree and parity agree.  The count is not
-invariant under every move, so distinct records are not a proof of
-inequivalence.
+sign eps to (n-1, m+1) with sign -eps, so the degree-k diagrams
+(m, k-m) come in parity pairs {m, k-1-m}.  Every one of them has
+essential count k, so the count does not tell the pairs apart, and
+distinct pairs are not a proof of inequivalence.
 """
 
 import dlknot as dl
@@ -24,7 +23,7 @@ def main():
     for k in (3, 4, 5, 6, 7):
         fam = dl.degree_k_family(k)
         reps = ", ".join(f"({c.m},{c.n})" for c in fam)
-        print(f"degree {k}: {len(fam)} distinct invariant records: {reps}")
+        print(f"degree {k}: {len(fam)} parity pairs: {reps}")
     print()
 
     print("stretching (1, 2) inside degree 3 (counts strictly grow):")

@@ -4,11 +4,13 @@ A one-crossing diagram is written as a pair of integers (m, n) with a
 crossing sign: the arc from the under-passage to the over-passage carries
 a block of |m| double lines of sign sgn(m), the complementary arc a block
 of |n| lines of sign sgn(n).  Its degree is m + n and the winding parity
-of the single crossing is m.
+of the single crossing is m.  The degree-k table lists one diagram per
+parity pair; nothing here keys on the essential count.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .diagram import (
@@ -18,7 +20,6 @@ from .diagram import (
     DoubleLine,
     Passage,
     degree,
-    parity_profile,
     parity_record,
 )
 from .projection import essential_count
@@ -65,36 +66,20 @@ def essential_count_closed_form(m: int, n: int) -> int:
     return abs(m) + abs(n)
 
 
-def invariant_key(m: int, n: int, eps: int) -> tuple:
-    """A comparable record of the computable invariants of (m, n)_eps,
-    symmetrized over the crossing-change partner."""
-    def record(c: OneCrossing) -> tuple:
-        d = c.realize()
-        return (degree(d), parity_profile(d), essential_count(d))
-
-    own = record(OneCrossing(m, n, eps))
-    other = record(partner(m, n, eps))
-    return tuple(sorted([own, other]))
-
-
 def degree_k_family(k: int) -> list[OneCrossing]:
-    """One representative per distinct ``invariant_key`` among the
-    degree-k one-crossing diagrams (m, k-m), m = 0..k-1, for k >= 3.
+    """The parity pairs of the degree-k one-crossing diagrams, k >= 3:
+    (m, k-m) with sign +1 for m = 0..ceil(k/2)-1.
 
-    Diagrams whose symmetrized invariant records agree are merged.
-    Distinct records do not prove the diagrams inequivalent: the essential
-    count in them is not invariant under every move.
+    (m, k-m) and its crossing-change partner (k-m-1, m+1) both have
+    degree k, parities {m, k-1-m} and, by the closed form, essential count
+    k, so the list holds one member per parity pair.  Distinct members are
+    not proven inequivalent.
     """
     if k < 3:
         raise ValueError("degree_k_family needs k >= 3")
-    seen: dict[tuple, OneCrossing] = {}
-    for m in range(k):
-        cand = OneCrossing(m, k - m, 1)
-        key = invariant_key(cand.m, cand.n, cand.eps)
-        if key not in seen:
-            seen[key] = cand
-    # Degree k != 0 already rules out the trivial knot.
-    return list(seen.values())
+    if k > sys.maxsize:
+        raise ValueError(f"degree_k_family needs k <= {sys.maxsize}")
+    return [OneCrossing(m, k - m, 1) for m in range((k + 1) // 2)]
 
 
 def stretch_family(m: int, k: int, s_max: int) -> list[tuple[OneCrossing, int]]:

@@ -144,10 +144,11 @@ def test_criterion_05_partner_consistency():
 
 
 def test_criterion_06_family_size_lower_bounds():
-    """Degree-k family sizes meet the floor((k-2)/2) (+1 when odd) bounds."""
-    sizes = [len(dl.degree_k_family(k)) for k in range(3, 8)]
-    bounds = [1, 1, 2, 2, 3]
-    assert all(s >= b for s, b in zip(sizes, bounds)), sizes
+    """Degree-k family sizes are exactly ceil(k/2), which meets the
+    floor((k-2)/2) (+1 when odd) bounds.  The members are parity pairs
+    {m, k-1-m}, not proven distinct knots: every one has essential count k."""
+    for k in range(3, 41):
+        assert len(dl.degree_k_family(k)) == (k + 1) // 2, k
 
 
 def test_criterion_07_stretch_counts_strictly_increase():

@@ -8,7 +8,6 @@ from dlknot.catalog import (
     degree_k_family,
     essential_count_closed_form,
     family_rows,
-    invariant_key,
     partner,
     stretch_family,
 )
@@ -73,10 +72,6 @@ class TestPartner:
                 p = partner(m, n, 1)
                 assert partner(p.m, p.n, p.eps) == OneCrossing(m, n, 1)
 
-    def test_symmetrized_key(self):
-        p = partner(2, 1, 1)
-        assert invariant_key(2, 1, 1) == invariant_key(p.m, p.n, p.eps)
-
 
 class TestFamilies:
     def test_small_k_requirement(self):
@@ -86,10 +81,21 @@ class TestFamilies:
     def test_counts(self):
         assert [len(degree_k_family(k)) for k in range(3, 8)] == [2, 2, 3, 3, 4]
 
-    def test_pairwise_distinct_keys(self):
-        for k in (3, 4, 5):
-            keys = [invariant_key(c.m, c.n, c.eps) for c in degree_k_family(k)]
-            assert len(set(keys)) == len(keys)
+    def test_matches_invariant_merge(self):
+        """The family is the first member of each class when (m, k-m) are
+        merged by degree, parity profile and essential count, symmetrized
+        over the crossing-change partner."""
+
+        def record(c):
+            d = c.realize()
+            return (dl.degree(d), dl.parity_profile(d), dl.essential_count(d))
+
+        for k in range(3, 41):
+            seen = {}
+            for m in range(k):
+                c = OneCrossing(m, k - m, 1)
+                seen.setdefault(tuple(sorted([record(c), record(partner(c.m, c.n, c.eps))])), c)
+            assert degree_k_family(k) == list(seen.values()), k
 
     def test_rows_shape(self):
         rows = family_rows(3)

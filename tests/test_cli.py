@@ -448,12 +448,13 @@ class TestUsageErrors:
             [],
             ["nope"],
             ["catalog", "x"],
+            ["catalog", "99999999999999999999"],
             ["search", "a"],
             ["essential", "D+", "--limit", "x"],
             ["invariants", "D+", "--bogus"],
         ],
-        ids=["no-command", "unknown-command", "bad-int", "missing-argument", "bad-option-value",
-             "unknown-option"],
+        ids=["no-command", "unknown-command", "bad-int", "huge-catalog-degree", "missing-argument",
+             "bad-option-value", "unknown-option"],
     )
     def test_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
