@@ -57,21 +57,31 @@ def token_to_text(t) -> str:
     return t.letter + _sign_char(t.sign)
 
 
-def read_tokens(text: str, marker: type = DoubleLine) -> list:
-    """Read whitespace-separated tokens, keeping crossing ids as written.
+def _brief(text: str) -> str:
+    """``text`` quoted, with the middle of a long one left out."""
+    return repr(text if len(text) <= 40 else text[:20] + "..." + text[-20:])
+
+
+def read_tokens(text: str, marker: type = DoubleLine, relabel: bool = False) -> list:
+    """Read whitespace-separated tokens, keeping crossing ids as written,
+    or renaming them 1, 2, ... in order of first occurrence if ``relabel``.
 
     Grammar: Passage = ("O"|"U") id ("+"|"-"); a signed marker is
     ``marker.letter`` followed by "+" or "-" (``D`` for double lines).
     """
+    markers = {marker.letter + c: marker(s) for c, s in _SIGNS.items()}
+    ids: dict[int, int] = {}
     tokens = []
     for word in text.split():
-        m = _PASSAGE_RE.fullmatch(word)
-        if m:
-            tokens.append(Passage(int(m.group(2)), m.group(1), _SIGNS[m.group(3)]))
-        elif len(word) == 2 and word[0] == marker.letter and word[1] in _SIGNS:
-            tokens.append(marker(_SIGNS[word[1]]))
-        else:
-            raise DiagramError(f"malformed token {word!r}")
+        t = markers.get(word)
+        if t is None:
+            m = _PASSAGE_RE.fullmatch(word)
+            try:
+                cid = int(m[2])
+            except (TypeError, ValueError):  # no match, or more digits than int() reads
+                raise DiagramError(f"malformed token {_brief(word)}") from None
+            t = Passage(ids.setdefault(cid, len(ids) + 1) if relabel else cid, m[1], _SIGNS[m[3]])
+        tokens.append(t)
     return tokens
 
 
@@ -79,8 +89,10 @@ def read_tokens(text: str, marker: type = DoubleLine) -> list:
 class DlDiagram:
     """An oriented knot diagram with double lines, as a cyclic token word.
 
-    The empty word is the trivial knot diagram.  Instances are immutable;
-    all operations on them are pure functions.
+    The empty word is the trivial knot diagram.  Instances are immutable,
+    their tokens above all, and all operations on them are pure functions.
+    A diagram may privately keep its essential walk, which ``projection``
+    derives from the tokens alone the first time it is asked for.
     """
 
     tokens: tuple[Token, ...]
@@ -91,10 +103,6 @@ class DlDiagram:
     @property
     def crossing_ids(self) -> tuple[int, ...]:
         return tuple(sorted({t.crossing_id for t in self.tokens if isinstance(t, Passage)}))
-
-    @property
-    def crossing_count(self) -> int:
-        return len(self.crossing_ids)
 
     @property
     def double_line_count(self) -> int:
@@ -133,29 +141,36 @@ def _validate(tokens: tuple[Token, ...]) -> None:
     if not isinstance(tokens, tuple):
         raise DiagramError(f"tokens must be a tuple, got {type(tokens).__name__}")
     # Ids and signs are ints: True == 1 and 1.0 == 1, but neither is one.
-    seen: dict[int, list[Passage]] = {}
+    first: dict[int, Passage] = {}  # crossing id -> passage, until its second
+    paired: set[int] = set()
     for t in tokens:
         if isinstance(t, Passage):
-            if type(t.crossing_id) is not int or t.crossing_id < 1:
-                raise DiagramError(f"crossing id must be a positive int, got {t.crossing_id!r}")
+            cid = t.crossing_id
+            if type(cid) is not int or cid < 1:
+                raise DiagramError(f"crossing id must be a positive int, got {cid!r}")
             if t.role not in (OVER, UNDER):
                 raise DiagramError(f"bad role {t.role!r}")
             if type(t.sign) is not int or t.sign not in (1, -1):
                 raise DiagramError(f"bad crossing sign {t.sign!r}")
-            seen.setdefault(t.crossing_id, []).append(t)
+            p = first.pop(cid, None)
+            if p is not None:
+                if p.role == t.role:
+                    raise DiagramError(f"crossing id {cid} must appear once Over and once Under")
+                if p.sign != t.sign:
+                    raise DiagramError(f"crossing id {cid} has mismatched crossing signs")
+                paired.add(cid)
+            elif cid in paired:
+                n = sum(isinstance(u, Passage) and u.crossing_id == cid for u in tokens)
+                raise DiagramError(f"crossing id {cid} appears {n} times, expected 2")
+            else:
+                first[cid] = t
         elif isinstance(t, DoubleLine):
             if type(t.sign) is not int or t.sign not in (1, -1):
                 raise DiagramError(f"bad double-line sign {t.sign!r}")
         else:
             raise DiagramError(f"unknown token {t!r}")
-    for cid, ps in seen.items():
-        if len(ps) != 2:
-            raise DiagramError(f"crossing id {cid} appears {len(ps)} times, expected 2")
-        roles = {p.role for p in ps}
-        if roles != {OVER, UNDER}:
-            raise DiagramError(f"crossing id {cid} must appear once Over and once Under")
-        if ps[0].sign != ps[1].sign:
-            raise DiagramError(f"crossing id {cid} has mismatched crossing signs")
+    if first:
+        raise DiagramError(f"crossing id {next(iter(first))} appears 1 times, expected 2")
 
 
 def parse(text: str) -> DlDiagram:
@@ -164,7 +179,7 @@ def parse(text: str) -> DlDiagram:
     Crossing ids are relabeled to order of first occurrence, so parsing
     round-trips with :func:`serialize` up to rotation and relabeling.
     """
-    return DlDiagram(tuple(_relabel_first_occurrence(read_tokens(text))))
+    return DlDiagram(tuple(read_tokens(text, relabel=True)))
 
 
 def _relabel_first_occurrence(tokens: Iterable[Token]) -> Iterator[Token]:
@@ -341,14 +356,20 @@ def parity_profile(d: DlDiagram) -> tuple[WindingParity, ...]:
 
 def parity_record(d: DlDiagram) -> list[dict]:
     """JSON-ready parity profile: one ``{"value", "modulus"}`` per crossing."""
-    return [{"value": p.value, "modulus": p.modulus} for p in parity_profile(d)]
+    return _parity_record(degree(d), winding_sums(d))
+
+
+def _parity_record(deg: int, sums: dict[int, int]) -> list[dict]:
+    ps = sorted(_parity(v, deg) for v in sums.values())
+    return [{"value": p.value, "modulus": p.modulus} for p in ps]
 
 
 def invariant_record(d: DlDiagram) -> dict:
     """JSON-ready record of the cheap invariants of a diagram."""
+    deg, sums = degree(d), winding_sums(d)
     return {
-        "degree": degree(d),
-        "parities": parity_record(d),
-        "crossings": d.crossing_count,
-        "double_lines": d.double_line_count,
+        "degree": deg,
+        "parities": _parity_record(deg, sums),
+        "crossings": len(sums),
+        "double_lines": len(d.tokens) - 2 * len(sums),
     }

@@ -50,6 +50,7 @@ from .diagram import (
     Passage,
     Token,
     _block_code,
+    _brief,
     _trusted,
     read_tokens,
     serialize,
@@ -163,11 +164,14 @@ class MoveInstance:
         params = []
         for w in words[1:]:
             if "=" not in w:
-                raise MoveError(f"bad move parameter {w!r}")
+                raise MoveError(f"bad move parameter {_brief(w)}")
             k, v = w.split("=", 1)
             # Only the spelling to_line writes: int() would also read
             # "+1", "1_0" and non-ASCII digits.
-            params.append((k, int(v) if _INT_RE.fullmatch(v) else v))
+            try:
+                params.append((k, int(v) if _INT_RE.fullmatch(v) else v))
+            except ValueError:  # more digits than int() reads
+                raise MoveError(f"bad move parameter {_brief(w)}") from None
         # By name alone: the values of a repeated name may not compare.
         return cls(words[0], tuple(sorted(params, key=lambda kv: kv[0])))
 

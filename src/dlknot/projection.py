@@ -17,10 +17,12 @@ Three layers on top of the move engine:
   in {0, -1}; an essential subset is an important subset of minimal size.
   ``essential_count`` alone finds that size; ``important_subsets`` lists
   subsets from it up, by cardinality and then lexicographically, and
-  ``essential_diagram`` eliminates the lines outside the first.  The
-  minimal size is unchanged by R1Add, R1Remove and R3, and by an R2Add or
-  R2Remove whose new or removed crossings have a winding interval holding
-  no double line or every double line.  It is not invariant under the
+  ``essential_diagram`` eliminates the lines outside the first.  Both
+  searches read one walk of the word and the count, made once per
+  diagram, not once per call, and kept with it.  The minimal size is
+  unchanged by R1Add, R1Remove and R3, and by an R2Add or R2Remove whose
+  new or removed crossings have a winding interval holding no double
+  line or every double line.  It is not invariant under the
   whole move set: an R2Add whose crossings wind around part of the lines
   can raise it (``D- D- D- D+ D+ D+``, count 0, becomes
   ``O1- O2+ D- D- D- U2+ U1- D+ D+ D+``, count 6).
@@ -260,8 +262,7 @@ def important_subsets(d: DlDiagram, limit: int | None = None) -> list[EssentialR
     """
     if limit is not None and (type(limit) is not int or limit < 1):
         raise ValueError(f"limit must be at least 1 and an int, got {limit!r}")
-    positions, vecs, classes, rows = _line_crossings(d)
-    kmin = _essential_count(classes)
+    positions, vecs, rows, kmin = _essential_walk(d)
     low, n, bad = sum(vecs), rows.bit_count(), ~rows
     packed = dict(zip(positions, vecs)).__getitem__
     reports: list[EssentialReport] = []
@@ -281,7 +282,19 @@ def essential_count(d: DlDiagram) -> int:
     """Minimum cardinality over all important subsets (exact search), from
     one walk: interchangeable double lines (same sign, same set of winding
     intervals) form classes, so block-shaped diagrams stay cheap."""
-    return _essential_count(_line_crossings(d)[2])
+    return _essential_walk(d)[3]
+
+
+def _essential_walk(d: DlDiagram) -> tuple[list[int], list[int], int, int]:
+    """``_line_crossings``' positions, packed lines and rows, and the
+    essential count: made once per diagram and kept on it, as they depend
+    on its tokens alone."""
+    walk = d.__dict__.get("_essential_walk")
+    if walk is None:
+        positions, vecs, classes, rows = _line_crossings(d)
+        walk = positions, vecs, rows, _essential_count(classes)
+        object.__setattr__(d, "_essential_walk", walk)
+    return walk
 
 
 def _essential_count(classes: _Classes) -> int:

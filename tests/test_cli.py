@@ -461,6 +461,22 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["invariants", f"U{'1' * 5000}+ O{'1' * 5000}+"],
+             f"malformed token 'U{'1' * 19}...{'1' * 19}+'"),
+            (["apply", "U1+ O1+", f"DlPairAdd5 pos={'1' * 5000} sign=1"],
+             f"bad move parameter 'pos={'1' * 16}...{'1' * 20}'"),
+        ],
+        ids=["huge-crossing-id", "huge-move-value"],
+    )
+    def test_number_of_very_many_digits(self, capsys, argv, message):
+        # int() refuses more than 4,300 digits by default; the error names
+        # the token or parameter, shortened.
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["strip", "--help"])

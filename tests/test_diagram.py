@@ -3,7 +3,16 @@
 import pytest
 
 import dlknot as dl
-from dlknot.diagram import DiagramError, DlDiagram, DoubleLine, Passage, _code
+from dlknot.diagram import (
+    DiagramError,
+    DlDiagram,
+    DoubleLine,
+    Passage,
+    _code,
+    _relabel_first_occurrence,
+    read_tokens,
+    token_to_text,
+)
 
 from conftest import random_diagram
 
@@ -33,6 +42,56 @@ class TestParse:
     def test_malformed_token(self):
         with pytest.raises(DiagramError):
             dl.parse("U1+ X2- O1+")
+
+    # One fault each.  The ids are in order of first occurrence, so parse,
+    # which renames them so, checks the tokens that DlDiagram is given.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("U1+ D+ U2- O2-", "crossing id 1 appears 1 times, expected 2"),
+            ("U1+ O1+ U1+", "crossing id 1 appears 3 times, expected 2"),
+            ("U1+ D- U2- O2- O1+ U2-", "crossing id 2 appears 3 times, expected 2"),
+            ("U1+ U1+", "crossing id 1 must appear once Over and once Under"),
+            ("U1- D+ O2+ O2+ O1-", "crossing id 2 must appear once Over and once Under"),
+            ("U1+ O1-", "crossing id 1 has mismatched crossing signs"),
+        ],
+        ids=["lone-passage", "three-times", "three-times-late", "two-unders", "two-overs",
+             "mismatched-signs"],
+    )
+    def test_single_fault_message(self, text, message):
+        with pytest.raises(DiagramError) as parsed:
+            dl.parse(text)
+        with pytest.raises(DiagramError) as built:
+            DlDiagram(tuple(read_tokens(text)))
+        assert str(parsed.value) == str(built.value) == message
+
+    def test_malformed_token_message(self):
+        with pytest.raises(DiagramError) as exc:
+            dl.parse("U1+ X2- O1+")
+        assert str(exc.value) == "malformed token 'X2-'"
+
+    def test_id_of_very_many_digits(self):
+        # int() refuses more than 4,300 digits by default; the token is then
+        # malformed, and the message shows it shortened.
+        digits = "1" * 5000
+        for read in (dl.parse, read_tokens):
+            with pytest.raises(DiagramError) as exc:
+                read(f"U{digits}+ O{digits}+")
+            assert str(exc.value) == f"malformed token 'U{'1' * 19}...{'1' * 19}+'"
+
+    def test_relabels_as_the_separate_pass(self, rng):
+        # Ids out of order, some written with leading zeros, against reading
+        # them as written and then renaming them in a separate pass.
+        for _ in range(2000):
+            d = random_diagram(rng, 7, 16)
+            names = rng.sample(range(1, 10**6), len(d.crossing_ids))
+            rename = dict(zip(d.crossing_ids, names))
+            text = " ".join(
+                f"{t.role}{'0' * rng.randint(0, 2)}{rename[t.crossing_id]}{'+' if t.sign > 0 else '-'}"
+                if isinstance(t, Passage) else token_to_text(t)
+                for t in d.tokens
+            )
+            assert dl.parse(text) == DlDiagram(tuple(_relabel_first_occurrence(read_tokens(text))))
 
     def test_roundtrip(self, rng):
         for _ in range(50):

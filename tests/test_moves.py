@@ -162,6 +162,11 @@ class TestApply:
         with pytest.raises(MoveError, match="^repeated move parameter 'pos'$"):
             MoveInstance.from_line("R1Remove pos=0 pos=1")
 
+    def test_value_of_very_many_digits(self):
+        # int() refuses more than 4,300 digits by default.
+        with pytest.raises(MoveError, match=r"^bad move parameter 'pos=1{16}\.\.\.1{20}'$"):
+            MoveInstance.from_line(f"DlPairAdd5 pos={'1' * 5000} sign=1")
+
     def test_names_in_any_order(self):
         # A move built directly with its kind's names in another order than
         # mk's applies as mk's does; a move of an unknown kind is not built,

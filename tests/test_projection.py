@@ -1,12 +1,13 @@
 """Parity normalization, double-line removal, and minimal important subsets."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
 import pytest
 
 import dlknot as dl
-from dlknot import moves
+from dlknot import moves, projection
 from dlknot.diagram import DoubleLine, Passage, winding_sums
 from dlknot.moves import CROSSING_CHANGE, CROSSING_SLIDING, DL_PAIR_ADD, DL_PAIR_CANCEL, mk
 from dlknot.moves import MoveTrace
@@ -361,6 +362,67 @@ class TestEssentialCount:
         for d in inputs:
             expect = TestImportantSubsets._enumerate(d, first=1)[0][1]
             assert dl.essential_count(d) == expect, dl.serialize(d)
+
+
+class TestEssentialWalk:
+    """Both essential searches read one walk, which a diagram keeps once
+    either has run on it."""
+
+    @staticmethod
+    def _makers(d, rng):
+        """Ways to build a diagram of some word near ``d``, each making a new
+        object per call: parse, the constructor, and a child by ``apply`` and
+        by ``successors``."""
+        text = dl.serialize(d)
+        makers = {"parse": lambda: dl.parse(text), "DlDiagram": lambda: dl.DlDiagram(d.tokens)}
+        # A few kinds, inserting, deleting, flipping and permuting, keep it quick.
+        children = moves.successors(d, [moves.DL_PAIR_ADD, moves.R1_ADD, moves.CROSSING_CHANGE,
+                                        moves.DL_SLIDE, moves.R2_REMOVE])
+        if children:
+            m, _ = rng.choice(children)
+            makers["apply"] = lambda: dl.apply(d, m)
+            makers["successors"] = lambda: dict(moves.successors(d, [m.kind]))[m]
+        return makers
+
+    def test_any_order_matches_a_fresh_diagram(self, rng):
+        made = Counter()
+        for _ in range(200):
+            d = random_diagram(rng, 7, 16)
+            for how, make in self._makers(d, rng).items():
+                limits = rng.sample([1, 2, 3, 5, 8], 3)
+                tokens = make().tokens
+                count = dl.essential_count(dl.DlDiagram(tokens))
+                lists = {j: dl.important_subsets(dl.DlDiagram(tokens), limit=j) for j in limits}
+                first = make()
+                assert dl.essential_count(first) == count, (how, dl.serialize(first))
+                for j in limits:
+                    assert dl.important_subsets(first, limit=j) == lists[j], (how, j)
+                second = make()
+                for j in limits:
+                    assert dl.important_subsets(second, limit=j) == lists[j], (how, j)
+                assert dl.essential_count(second) == count, (how, dl.serialize(second))
+                made[how] += 1
+        assert len(made) == 4, made
+
+    def test_one_search_per_diagram(self, monkeypatch):
+        calls = []
+        search = projection._essential_count
+        monkeypatch.setattr(projection, "_essential_count", lambda c: calls.append(c) or search(c))
+        d = dl.parse("O1+ D+ D+ U2- D- U1+ D+ O2- D+")
+        assert dl.essential_count(d) == 3
+        assert [r.subset for r in dl.important_subsets(d, limit=2)] == [(1, 6, 8), (2, 6, 8)]
+        assert dl.essential_count(d) == 3
+        assert len(calls) == 1
+        assert dl.essential_count(dl.DlDiagram(d.tokens)) == 3 and len(calls) == 2
+
+    def test_walk_is_invisible(self):
+        d, e = dl.parse("U1+ D- D- O2- D+ U2- O1+ D+"), dl.parse("U1+ D- D- O2- D+ U2- O1+ D+")
+        seen = repr(d), hash(d)
+        dl.important_subsets(d, limit=3)
+        dl.essential_count(d)
+        assert d == e and (repr(d), hash(d)) == seen == (repr(e), hash(e))
+        assert [f.name for f in dataclasses.fields(d)] == ["tokens"]
+        assert dataclasses.astuple(d) == dataclasses.astuple(e)
 
 
 class TestEssentialDiagram:
