@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import catalog, links, projection, search
-from .diagram import DiagramError, invariant_record, parse, serialize
+from .diagram import DiagramError, _brief, invariant_record, parse, serialize
 from .moves import ALL_KINDS, MoveInstance, MoveTrace, apply as apply_move, replay
 
 EXIT_OK = 0
@@ -32,6 +32,13 @@ def _read_arg(text: str) -> str:
     if text == "-":
         return sys.stdin.read()
     return text
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # not an integer, or more digits than int() reads
+        raise argparse.ArgumentTypeError(f"invalid int value: {_brief(text)}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -156,7 +163,7 @@ def cmd_replay(args):
 DIAGRAM = (["diagram"], {})
 LINK = (["link"], {})
 TRACE_FILE = (["--trace-file"], {})
-INT = {"type": int}
+INT = {"type": _int}
 
 # (name, help, handler, arguments other than --json and --output)
 COMMANDS = [
@@ -170,7 +177,7 @@ COMMANDS = [
      lambda a: _diagram(projection.strip_double_lines(parse(_read_arg(a.diagram)))), [DIAGRAM]),
     ("remove", "eliminate double lines by moves, with trace", cmd_remove, [DIAGRAM, TRACE_FILE]),
     ("essential", "important/essential double-line subsets", cmd_essential, [
-        DIAGRAM, (["--limit"], {"type": int, "default": None}),
+        DIAGRAM, (["--limit"], {**INT, "default": None}),
     ]),
     ("catalog", "degree-k one-crossing family table",
      lambda a: _table(catalog.family_rows(a.k)), [(["k"], INT)]),
@@ -185,8 +192,8 @@ COMMANDS = [
     ("search", "bounded BFS over the move graph", cmd_search, [
         (["src"], {}),
         (["dst"], {}),
-        (["--max-moves"], {"type": int, "default": 8}),
-        (["--max-len"], {"type": int, "default": 24}),
+        (["--max-moves"], {**INT, "default": 8}),
+        (["--max-len"], {**INT, "default": 24}),
         (["--kinds"], {"default": "all", "help": "comma-separated move kinds"}),
         TRACE_FILE,
     ]),

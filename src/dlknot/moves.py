@@ -590,6 +590,10 @@ class MoveTrace:
             data = json.loads(text)
         except RecursionError:
             raise MoveError("trace JSON is nested too deeply") from None
+        except json.JSONDecodeError as e:
+            raise MoveError(f"bad trace JSON: {e}") from None
+        except ValueError:  # an integer of more digits than int() reads
+            raise MoveError("bad trace JSON: an integer has too many digits") from None
         steps = data.get("steps") if isinstance(data, dict) else None
         if not isinstance(steps, list) or not all(
             isinstance(s, dict)

@@ -9,8 +9,8 @@ Three layers on top of the move engine:
   diagram with all parities in {0, -1} by crossing changes, crossing
   slides to one common level of the running line-sign sum, and pair
   cancels: at any common level each arc's lines sum to 0 (the degree is 0).
-  It applies no step: it builds the word with the trace, one splice and
-  one stack pass of cancels per slid crossing.
+  It applies no step: one walk gives the changes and slides, and one
+  stack pass over the word they make gives the cancels.
 * ``important_subsets`` / ``essential_count`` / ``essential_diagram``
   compute the important and essential double-line subsets: an important
   subset is one whose removal leaves a degree-0 diagram with all parities
@@ -31,7 +31,6 @@ Three layers on top of the move engine:
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
 from operator import itemgetter, not_, sub
@@ -148,56 +147,54 @@ class EliminationCertificate:
     result: DlDiagram
 
 
-def _cancel_steps(tokens: Iterable[Token]) -> tuple[list[MoveInstance], list[Token]]:
-    """DlPairCancel5 steps after which no two adjacent lines of ``tokens``
-    are opposite, and the word they leave: a stack pass, then the pairs
-    across the end of the word."""
-    kept, steps = [], []
-    for t in tokens:
+def _eliminated(
+    d: DlDiagram, keep: frozenset[int] = frozenset()
+) -> tuple[list[MoveInstance], list[Token]]:
+    """The steps that eliminate the lines of ``d`` at positions not in
+    ``keep``, and the word they leave, from one walk: every crossing
+    change, then every slide, then the cancels of one stack pass over the
+    word they make, in which each changed passage is hugged by its pair
+    and each slid passage itself by its slides.  No step is applied."""
+    under, over, s = {}, {}, 0  # crossing id -> s, the running sum of the lines outside keep
+    for i, t in enumerate(d.tokens):
+        if type(t) is DoubleLine:
+            s += 0 if i in keep else t.sign
+        else:
+            (under if t.role == UNDER else over)[t.crossing_id] = s
+    if s != 0:
+        raise ProjectionError(f"elimination needs degree 0, got {s}")
+    for c in sorted(under):
+        if (p := over[c] - under[c]) not in (0, -1):
+            raise ProjectionError(f"crossing {c} has winding parity {p}, expected 0 or -1")
+    # A crossing whose parity is 0 and one changed from -1 both sit at the
+    # sum at their Under passage, its level: each hugging pair shifts the
+    # running sum at its passage alone.
+    flip = [c for c in sorted(under) if over[c] != under[c]]
+    k = sorted(under.values())[len(under) // 2] if under else 0
+    steps = [mk(CROSSING_CHANGE, crossing_id=c, chirality=1) for c in flip]
+    for c, v in sorted(under.items()):
+        steps += [mk(CROSSING_SLIDING, crossing_id=c, direction=1 if k > v else -1)] * abs(k - v)
+
+    def mapped(t: Token) -> tuple[Token, ...]:
+        if type(t) is DoubleLine:
+            return (t,)
+        v = under[t.crossing_id]
+        f = moves.flip_passage(t, 1) if over[t.crossing_id] != v else (t,)
+        m = len(f) // 2
+        return f[:m] + moves.hug(f[m], abs(k - v), 1 if k > v else -1) + f[m + 1 :]
+
+    kept: list[Token] = []
+    for t in chain.from_iterable(map(mapped, d.tokens)):
         if kept and type(t) is DoubleLine is type(kept[-1]) and kept[-1].sign != t.sign:
             kept.pop()
             steps.append(MoveInstance(DL_PAIR_CANCEL, (("pos", len(kept)),)))
         else:
             kept.append(t)
-    lo, hi = 0, len(kept)  # the word is kept[lo:hi]
+    lo, hi = 0, len(kept)  # the word is kept[lo:hi]; then the pairs across its end
     while hi - lo > 1 and {kept[lo], kept[hi - 1]} == _LINE_PAIR:
         steps.append(MoveInstance(DL_PAIR_CANCEL, (("pos", hi - lo - 1),)))
         lo, hi = lo + 1, hi - 1
     return steps, kept[lo:hi]
-
-
-def _eliminated(
-    d: DlDiagram, rest: DlDiagram, flip: list[int]
-) -> tuple[list[MoveInstance], list[Token]]:
-    """The steps that eliminate the lines of ``rest``, whose parity -1
-    crossings are ``flip``, run on ``d``, a word with the same passages;
-    with the word they leave.  No step is applied: the crossing changes
-    and their cancels are one pass, and the ``r`` slides of a crossing one
-    splice, hugging both its passages with ``r`` pairs, and one pass."""
-    def flipped(w: DlDiagram) -> Iterable[Token]:
-        f, changed = moves.flip_passage, set(flip)
-        return chain.from_iterable(
-            f(t, 1) if type(t) is Passage and t.crossing_id in changed else (t,) for t in w.tokens
-        )
-
-    level, s = {}, 0  # crossing id -> the running sum s at its passages
-    for t in flipped(rest):
-        if type(t) is DoubleLine:
-            s += t.sign
-        else:
-            assert level.setdefault(t.crossing_id, s) == s, f"crossing {t.crossing_id}: two levels"
-    k = sorted(level.values())[len(level) // 2] if level else 0
-    steps, word = _cancel_steps(flipped(d))
-    steps[:0] = [mk(CROSSING_CHANGE, crossing_id=c, chirality=1) for c in flip]
-    for c, s_c in sorted(level.items()):
-        if s_c != k:
-            r, s = abs(k - s_c), 1 if k > s_c else -1
-            steps += [mk(CROSSING_SLIDING, crossing_id=c, direction=s)] * r
-            i, j = moves._passages_of(word, c)
-            a, b = moves.hug(word[i], r, s), moves.hug(word[j], r, s)
-            cancels, word = _cancel_steps(chain(word[:i], a, word[i + 1 : j], b, word[j + 1 :]))
-            steps += cancels
-    return steps, word
 
 
 def eliminate_double_lines(d: DlDiagram) -> EliminationCertificate:
@@ -209,19 +206,12 @@ def eliminate_double_lines(d: DlDiagram) -> EliminationCertificate:
     moves it to level k.  With every crossing at level k, the lines
     between two passages sum to k - k = 0 and those across the end of the
     word to (0 - k) + k = 0, as the degree is 0; so all lines cancel, for
-    any constant k.  The median level takes the fewest slides.  A cancel
-    shifts all levels alike or none, so the slides are counted once.
+    any constant k.  The median level takes the fewest slides.
 
     The trace uses only CrossingChange, CrossingSliding and DlPairCancel5
     and replays to the result, which is built with it, applying no step.
     """
-    if degree(d) != 0:
-        raise ProjectionError(f"elimination needs degree 0, got {degree(d)}")
-    parities = winding_sums(d)
-    for cid, p in parities.items():
-        if p not in (0, -1):
-            raise ProjectionError(f"crossing {cid} has winding parity {p}, expected 0 or -1")
-    steps, word = _eliminated(d, d, [c for c, p in parities.items() if p == -1])
+    steps, word = _eliminated(d)
     assert not any(type(t) is DoubleLine for t in word), "double lines left after elimination"
     return EliminationCertificate(MoveTrace(d, tuple(steps)), DlDiagram(tuple(word)))
 
@@ -365,7 +355,5 @@ def essential_diagram(d: DlDiagram) -> tuple[DlDiagram, MoveTrace]:
     lines, which have one sign (a kept + and - would leave a smaller
     important subset): the output is ``d`` without the other lines, its
     crossings of residual parity -1 changed, up to rotation."""
-    keep = set(important_subsets(d, limit=1)[0].subset)
-    rest = DlDiagram(tuple(t for i, t in enumerate(d.tokens) if i not in keep))
-    steps, word = _eliminated(d, rest, [c for c, p in winding_sums(rest).items() if p == -1])
+    steps, word = _eliminated(d, frozenset(important_subsets(d, limit=1)[0].subset))
     return DlDiagram(tuple(word)), MoveTrace(d, tuple(steps))

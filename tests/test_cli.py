@@ -265,6 +265,10 @@ class TestSearchAndApply:
             ('{"start": "U1+ O1+", "steps": [{"kind": "R1Add", "params": {"kind": 3}}]}',
              "missing parameter"),
             ("{", "Expecting"),
+            ("{bad", "error: bad trace JSON: Expecting property name enclosed in double quotes: "
+                     "line 1 column 2 (char 1)\n"),
+            ('{"start": "U1+ O1+", "steps": [{"kind": "DlPairAdd5", "params": {"pos": '
+             + "1" * 5000 + ', "sign": 1}}]}', "error: bad trace JSON: an integer has too many digits\n"),
             ('{"steps": ' + "[" * 100000 + "]" * 100000 + "}", "nested too deeply"),
             ("", "empty trace"),
             ("U1+ O1+\nR1Add pos", "bad move parameter"),
@@ -291,6 +295,8 @@ class TestSearchAndApply:
             "unknown-kind-line",
             "kind-parameter",
             "bad-json",
+            "bad-json-exact",
+            "huge-json-integer",
             "deep-json",
             "empty-file",
             "bad-move-line",
@@ -468,12 +474,17 @@ class TestUsageErrors:
              f"malformed token 'U{'1' * 19}...{'1' * 19}+'"),
             (["apply", "U1+ O1+", f"DlPairAdd5 pos={'1' * 5000} sign=1"],
              f"bad move parameter 'pos={'1' * 16}...{'1' * 20}'"),
+            (["essential", "U1+ O1+", "--limit", "1" * 5000],
+             f"dlknot essential: argument --limit: invalid int value: '{'1' * 20}...{'1' * 20}'"),
+            (["search", "U1+ O1+", "D+", "--max-moves", "1" * 5000],
+             f"dlknot search: argument --max-moves: invalid int value: '{'1' * 20}...{'1' * 20}'"),
+            (["catalog", "1" * 5000], f"dlknot catalog: argument k: invalid int value: '{'1' * 20}...{'1' * 20}'"),
         ],
-        ids=["huge-crossing-id", "huge-move-value"],
+        ids=["huge-crossing-id", "huge-move-value", "huge-limit", "huge-max-moves", "huge-positional"],
     )
     def test_number_of_very_many_digits(self, capsys, argv, message):
         # int() refuses more than 4,300 digits by default; the error names
-        # the token or parameter, shortened.
+        # the token, parameter or option value, shortened.
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -113,9 +113,11 @@ class TestValidate:
             ((Passage(1, "U", 1.0), Passage(1, "O", 1.0)), "bad crossing sign 1.0"),
             ((DoubleLine(True),), "bad double-line sign True"),
             ((DoubleLine(-1.0),), "bad double-line sign -1.0"),
+            ((Passage(1, "X", 1), Passage(1, "O", 1)), "^bad role 'X'$"),
+            ((Passage(1, "U", 1), "D+", Passage(1, "O", 1)), r"^unknown token 'D\+'$"),
         ],
         ids=["list", "bool-id", "float-id", "str-id", "bool-sign", "float-sign",
-             "bool-line", "float-line"],
+             "bool-line", "float-line", "bad-role", "unknown-token"],
     )
     def test_rejected(self, tokens, message):
         with pytest.raises(DiagramError, match=message):
@@ -303,6 +305,15 @@ class TestWindingParity:
     def test_unknown_crossing(self):
         with pytest.raises(DiagramError):
             dl.winding_parity(dl.parse("U1+ O1+"), 7)
+
+    def test_value_within_modulus(self):
+        # Plain Z (modulus 0) takes any value; Z_m takes 0, ..., m - 1.
+        assert dl.WindingParity(-5, 0).value == -5 and dl.WindingParity(2, 3).value == 2
+        with pytest.raises(DiagramError, match="^modulus must be non-negative$"):
+            dl.WindingParity(0, -1)
+        for value in (-1, 3):
+            with pytest.raises(DiagramError, match="^value out of range for modulus$"):
+                dl.WindingParity(value, 3)
 
     def test_rotation_invariant(self, rng):
         for _ in range(30):

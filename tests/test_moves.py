@@ -568,6 +568,23 @@ class TestTrace:
             with pytest.raises(MoveError, match="^DlPairAdd5 takes no parameter 'foo'$"):
                 read(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{bad", "bad trace JSON: Expecting property name enclosed in double quotes: "
+                     "line 1 column 2 (char 1)"),
+            ('{"start": "U1+ O1+", "steps": [{"kind": "DlPairAdd5", "params": {"pos": '
+             + "1" * 5000 + ', "sign": 1}}]}', "bad trace JSON: an integer has too many digits"),
+        ],
+        ids=["bad-json", "huge-integer"],
+    )
+    def test_unreadable_json(self, text, message):
+        # Not JSON, or an integer of more digits than int() reads: a
+        # MoveError of one short line, not json's or int()'s ValueError.
+        with pytest.raises(MoveError) as e:
+            MoveTrace.from_json(text)
+        assert str(e.value) == message
+
     def test_library_trace_with_repeated_parameter(self):
         # Neither a move line nor a JSON object can hold a repeated name, so
         # a step built with one is refused with the text reader's error.

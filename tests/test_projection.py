@@ -2,13 +2,17 @@
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import dlknot as dl
 from dlknot import moves, projection
-from dlknot.diagram import DoubleLine, Passage, winding_sums
+from dlknot.diagram import DoubleLine, Passage, read_tokens, winding_sums
 from dlknot.moves import CROSSING_CHANGE, CROSSING_SLIDING, DL_PAIR_ADD, DL_PAIR_CANCEL, mk
 from dlknot.moves import MoveTrace
 from dlknot.projection import ProjectionError
@@ -107,12 +111,55 @@ class TestElimination:
         assert {s.kind for s in cert.trace.steps} <= allowed
 
     def test_rejects_bad_parity(self):
-        with pytest.raises(ProjectionError):
+        with pytest.raises(ProjectionError, match="^crossing 1 has winding parity 2, expected 0 or -1$"):
             dl.eliminate_double_lines(dl.one_crossing(2, -2, 1))
 
     def test_rejects_nonzero_degree(self):
-        with pytest.raises(ProjectionError):
+        # The degree is checked first, though crossing 1's parity is 1 too.
+        with pytest.raises(ProjectionError, match="^elimination needs degree 0, got 1$"):
             dl.eliminate_double_lines(dl.parse("U1+ D+ O1+"))
+
+    @pytest.mark.parametrize(
+        "text, crossing, parity",
+        [
+            # Crossing 2 lies inside crossing 1, so its passages end first.
+            ("U1+ D+ D+ U2+ D+ D+ O2+ D- D- O1+ D- D-", 1, 2),
+            # Ids kept as written: crossing 2's passages come first.
+            ("U2+ D+ O2+ D- U1+ D+ O1+ D-", 1, 1),
+            # Crossing 1 is fine, so the error names crossing 2.
+            ("U1+ O1+ U2+ D+ D+ O2+ D- D-", 2, 2),
+            # Over passage first: the interval wraps the end of the word.
+            ("O1+ D+ D+ U1+ D- D-", 1, -2),
+            ("O1+ D- U1+ D+", 1, 1),
+        ],
+        ids=["nested", "ids-as-written", "second-only", "over-first", "over-first-one"],
+    )
+    def test_first_bad_crossing_in_id_order(self, text, crossing, parity):
+        d = dl.DlDiagram(tuple(read_tokens(text)))
+        assert winding_sums(d)[crossing] == parity
+        message = f"^crossing {crossing} has winding parity {parity}, expected 0 or -1$"
+        with pytest.raises(ProjectionError, match=message):
+            dl.eliminate_double_lines(d)
+
+    def test_checks_hold_without_asserts(self):
+        # The refusals are raised, not asserted: python -O runs them too.
+        code = (
+            "import dlknot as dl\n"
+            "for w in ('U1+ D+ O1+', 'U1+ D+ D+ O1+ D- D-'):\n"
+            "    try:\n"
+            "        dl.eliminate_double_lines(dl.parse(w))\n"
+            "    except dl.ProjectionError as e:\n"
+            "        print(e)\n"
+        )
+        src = str(Path(dl.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out == (
+            "elimination needs degree 0, got 1\n"
+            "crossing 1 has winding parity 2, expected 0 or -1\n"
+        )
 
     def test_result_is_the_changed_passage_word(self, rng):
         # Token for token: the passages in place, each parity -1 crossing
@@ -151,24 +198,9 @@ class TestElimination:
     @staticmethod
     def _applied(d):
         """The elimination with every step applied by ``apply``: the crossing
-        changes, then each crossing's slides to the median level, each stage
-        followed by the cancels a stack of line signs finds.  None if ``d``
-        is not degree 0 with parities in {0, -1}."""
-
-        def cancels(tokens):
-            kept, steps = [], []  # line signs, 0 for a passage
-            for t in tokens:
-                v = t.sign if isinstance(t, DoubleLine) else 0
-                if kept and kept[-1] * v == -1:
-                    kept.pop()
-                    steps.append(mk(DL_PAIR_CANCEL, pos=len(kept)))
-                else:
-                    kept.append(v)
-            while kept and kept[-1] * kept[0] == -1:
-                steps.append(mk(DL_PAIR_CANCEL, pos=len(kept) - 1))
-                kept = kept[1:-1]
-            return steps
-
+        changes, then each crossing's slides to the median level, then the
+        cancels one stack of line signs finds, and the pairs across the end
+        of the word.  None if ``d`` is not degree 0 with parities in {0, -1}."""
         parities = winding_sums(d)
         if dl.degree(d) != 0 or any(p not in (0, -1) for p in parities.values()):
             return None
@@ -177,24 +209,32 @@ class TestElimination:
         cur = d
         for m in steps:
             cur = dl.apply(cur, m)
-        for m in cancels(cur.tokens):
-            cur = dl.apply(cur, m)
-            steps.append(m)
         level, s = {}, 0
         for t in cur.tokens:
             if isinstance(t, DoubleLine):
                 s += t.sign
             else:
-                level[t.crossing_id] = s
+                assert level.setdefault(t.crossing_id, s) == s, "two levels"
         k = sorted(level.values())[len(level) // 2] if level else 0
         for cid, s_c in sorted(level.items()):
             slide = mk(CROSSING_SLIDING, crossing_id=cid, direction=1 if k > s_c else -1)
             for m in [slide] * abs(k - s_c):
                 cur = dl.apply(cur, m)
                 steps.append(m)
-            for m in cancels(cur.tokens):
-                cur = dl.apply(cur, m)
-                steps.append(m)
+        kept, cancels = [], []  # line signs, 0 for a passage
+        for t in cur.tokens:
+            v = t.sign if isinstance(t, DoubleLine) else 0
+            if kept and kept[-1] * v == -1:
+                kept.pop()
+                cancels.append(mk(DL_PAIR_CANCEL, pos=len(kept)))
+            else:
+                kept.append(v)
+        while kept and kept[-1] * kept[0] == -1:
+            cancels.append(mk(DL_PAIR_CANCEL, pos=len(kept) - 1))
+            kept = kept[1:-1]
+        for m in cancels:
+            cur = dl.apply(cur, m)
+            steps.append(m)
         return MoveTrace(d, tuple(steps)), cur
 
     # Cancels across the end of the word, an Over-first crossing of parity
